@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Exhaustive residue-ring checks behind the no-descent result.
 
-Two facts about Z[w]/(3^k) are re-verified by brute force over the full
-coordinate grid:
+Two facts about Z[w]/(3^k) are re-verified by exhaustive enumeration:
 
   cube-closure  every cube times a value of the descent form (x, y integer
                 residues) is again a value of the form;

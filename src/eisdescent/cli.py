@@ -26,9 +26,9 @@ from .descent import (
 from .eisenstein import factor, is_cube
 from .parsing import ParseError, parse_element
 from .reports import dumps_document, make_document
-from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
+from .residues import MAX_VERIFY_K, ResidueRing, cube_values, descent_form_image, rhs_values
 from .search import search
-from .verify import MAX_VERIFY_K, minimal_modulus, verify_cube_closure, verify_no_solution
+from .verify import minimal_modulus, verify_cube_closure, verify_no_solution
 
 USAGE_ERROR = 2
 
@@ -51,12 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="modulus exponent (3^k)")
     p.add_argument("--expect-holds", choices=["true", "false"],
                    help="exit 1 if the outcome differs from this expectation")
-    _common_flags(p, jobs=True)
+    _common_flags(p)
 
     p = sub.add_parser("minimal-modulus",
                        help="smallest k for which the no-solution check holds")
     p.add_argument("--max-k", type=int, required=True)
-    _common_flags(p, jobs=True)
+    _common_flags(p)
 
     p = sub.add_parser("classify", help="classify a specialization point of t^3 = z")
     p.add_argument("element")
@@ -79,22 +79,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True,
                    help="comma-separated coefficients of f, constant term first")
     p.add_argument("--height", type=int, required=True)
-    _common_flags(p, jobs=True)
+    _common_flags(p)
 
     p = sub.add_parser("dump-set", help="CSV dump of an exhaustive image set")
     p.add_argument("set", choices=sorted(_SET_BUILDERS))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--path", required=True)
-    _common_flags(p, jobs=True)
+    _common_flags(p)
 
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser, jobs: bool = False) -> None:
+def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="PATH", help="also write the report to a file")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for enumeration (0 = auto)")
 
 
 def _emit(document: dict, json_path: str | None) -> None:
@@ -107,7 +104,7 @@ def _emit(document: dict, json_path: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     report = (verify_cube_closure if args.lemma == "cube-closure"
-              else verify_no_solution)(args.k, jobs=args.jobs)
+              else verify_no_solution)(args.k)
     _emit(report.to_document(), args.json)
     if args.expect_holds is not None:
         expected = args.expect_holds == "true"
@@ -120,7 +117,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_minimal_modulus(args) -> int:
     start = time.perf_counter()
-    k = minimal_modulus(args.max_k, jobs=args.jobs)
+    k = minimal_modulus(args.max_k)
     params = {"command": "minimal-modulus", "max_k": args.max_k}
     report = {"max_k": args.max_k, "minimal_k": k}
     _emit(make_document(report, params, time.perf_counter() - start), args.json)
@@ -208,7 +205,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_search(args) -> int:
     coeffs = [parse_element(part) for part in args.coeffs.split(",")]
-    report = search(coeffs, args.height, jobs=args.jobs)
+    report = search(coeffs, args.height)
     _emit(report.to_document(), args.json)
     return 0
 
@@ -218,7 +215,7 @@ def _cmd_dump_set(args) -> int:
         raise ValueError(f"k must be in 1..{MAX_VERIFY_K}, got {args.k}")
     start = time.perf_counter()
     ring = ResidueRing(args.k)
-    image = _SET_BUILDERS[args.set](ring, args.jobs)
+    image = _SET_BUILDERS[args.set](ring)
     image.write_csv(args.path)
     params = {"command": "dump-set", "set": args.set, "k": args.k}
     report = {"set": args.set, "k": args.k, "path": args.path, "size": len(image)}

@@ -372,10 +372,10 @@ def canonical_associate(alpha: EisensteinInt) -> EisensteinInt:
         raise ValueError("zero has no canonical associate")
     if alpha.norm() == 3:
         return PI
-    return min(
-        (c for c in (u * alpha for u in UNITS) if c.a > 0),
-        key=lambda c: (c.a, c.b),
-    )
+    a, b = alpha.a, alpha.b
+    # alpha, w*alpha, w^2*alpha and their negatives, as coordinate pairs
+    turns = ((a, b), (-b, a - b), (b - a, -a))
+    return EisensteinInt(*min(c for x, y in turns for c in ((x, y), (-x, -y)) if c[0] > 0))
 
 
 def eisenstein_gcd(alpha: EisensteinInt, beta: EisensteinInt) -> EisensteinInt:
@@ -411,23 +411,19 @@ def pi_valuation(alpha: EisensteinInt) -> tuple[int, EisensteinInt]:
 def _split_prime(p: int) -> EisensteinInt:
     """A canonical prime of norm p for a rational prime p = 1 (mod 3).
 
-    Solves a^2 - a*b + b^2 = p by iterating a up to ceil(sqrt(4p/3)) and
-    checking whether the discriminant 4p - 3a^2 is a perfect square.
+    t = g^((p-1)/3) mod p, for the first g with t != 1, is a primitive cube
+    root of unity mod p, so p divides t^2 + t + 1 = (t - w)(t - w^2) and
+    gcd(p, t - w) is a prime of norm p.
     """
-    a = 1
-    while True:
-        disc = 4 * p - 3 * a * a
-        if disc < 0:
-            raise ValueError(f"{p} is not a split prime")
-        s = math.isqrt(disc)
-        if s * s == disc and (a + s) % 2 == 0:
-            b = (a + s) // 2
-            if a * a - a * b + b * b == p:
-                return canonical_associate(EisensteinInt(a, b))
-            b = (a - s) // 2
-            if a * a - a * b + b * b == p:
-                return canonical_associate(EisensteinInt(a, b))
-        a += 1
+    if p % 3 == 1:
+        for g in range(2, p):
+            t = pow(g, (p - 1) // 3, p)
+            if t != 1:
+                prime = eisenstein_gcd(EisensteinInt(p, 0), EisensteinInt(t, -1))
+                if prime.norm() == p:
+                    return prime
+                break
+    raise ValueError(f"{p} is not a split prime")
 
 
 class Factorization:

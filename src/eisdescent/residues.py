@@ -2,20 +2,26 @@
 
 A ring element is a coordinate pair (a, b) with a, b in [0, 3^k), multiplied
 with the usual w^2 = -1 - w reduction; the ring has 9^k elements.  The image
-sets needed by the lemma verifier are computed by scanning the full
-coordinate grid with numpy and storing each set as a dense bitset indexed by
-a*m + b (m = 3^k), alongside the lexicographically first producer of every
-value so that counterexample reports are reproducible.
+sets needed by the lemma verifier are computed by scanning a coordinate grid
+with numpy and storing each set as a dense bitset indexed by a*m + b
+(m = 3^k), alongside the lexicographically first producer of every value so
+that counterexample reports are reproducible.
 
-Scans may be partitioned across worker threads; partial results are merged
-by a first-producer rule that is associative, so the outcome is identical
-for any worker count.
+A scan scatters every producer index into a dense array of 9^k slots with
+np.minimum.at, so each slot ends up holding the smallest producer of its
+value whatever order the grid is visited in.  The grid is processed in
+chunks only to bound memory.
+
+Cubes and the right-hand side 3(z^3 + 2) are scanned over the box
+z in [0, 3^(k-1))^2 when k >= 2: (z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the
+cross terms carry a factor 3 * 3^(k-1) and the t^3 term 3^(3(k-1)), with
+3(k-1) >= k.  Reducing both coordinates mod 3^(k-1) never increases them, so
+the lexicographically first producer always lies in the box.  The form image
+is not periodic mod 3^(k-1) and is scanned over the full grid.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -23,6 +29,7 @@ import numpy as np
 from .eisenstein import EisensteinInt
 
 __all__ = [
+    "MAX_VERIFY_K",
     "ResidueElement",
     "ResidueRing",
     "ResidueSet",
@@ -32,7 +39,8 @@ __all__ = [
 ]
 
 MAX_K = 19  # 3^19 keeps every intermediate product inside int64
-_CHUNK_CELLS = 1 << 21
+MAX_VERIFY_K = 8  # a scan allocates 9^k int64 slots: 344 MB at k = 8
+_CHUNK_CELLS = 1 << 20
 
 
 class ResidueRing:
@@ -217,48 +225,32 @@ class ResidueSet:
                 fh.write(f"{int(v) // m},{int(v) % m}\n")
 
 
-def _merge_first_producer(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    values = np.concatenate([p[0] for p in parts])
-    producers = np.concatenate([p[1] for p in parts])
-    order = np.lexsort((producers, values))
-    values = values[order]
-    producers = producers[order]
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first], producers[first]
-
-
 def _scan_grid(ring: ResidueRing,
                value_fn: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]],
-               jobs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate value_fn over the full (first, second) coordinate grid.
+               side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate value_fn over the (first, second) grid [0, side)^2.
 
     Returns the distinct value indices and, per value, the smallest producer
     index first*m + second that reached it.
     """
+    if ring.k > MAX_VERIFY_K:
+        raise ValueError(f"scans need k <= {MAX_VERIFY_K}, got {ring.k}")
     m = ring.modulus
-    rows = max(1, _CHUNK_CELLS // m)
-    second = np.arange(m, dtype=np.int64)[np.newaxis, :]
-
-    def scan_chunk(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        hi = min(lo + rows, m)
-        first = np.arange(lo, hi, dtype=np.int64)[:, np.newaxis]
+    unseen = ring.size
+    first_producer = np.full(unseen, unseen, dtype=np.int64)
+    rows = max(1, _CHUNK_CELLS // side)
+    second = np.arange(side, dtype=np.int64)[np.newaxis, :]
+    for lo in range(0, side, rows):
+        first = np.arange(lo, min(lo + rows, side), dtype=np.int64)[:, np.newaxis]
         va, vb = value_fn(first, second, m)
-        v = (va * m + vb).ravel()
-        p = (first * m + second).ravel()
-        # p is increasing within the chunk, so the first occurrence of each
-        # distinct value is its smallest producer here.
-        vu, idx = np.unique(v, return_index=True)
-        return vu, p[idx]
+        np.minimum.at(first_producer, (va * m + vb).ravel(), (first * m + second).ravel())
+    values = np.flatnonzero(first_producer < unseen)
+    return values, first_producer[values]
 
-    starts = list(range(0, m, rows))
-    if jobs == 1 or len(starts) == 1:
-        parts = [scan_chunk(lo) for lo in starts]
-    else:
-        workers = jobs if jobs > 0 else min(len(starts), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(scan_chunk, starts))
-    return _merge_first_producer(parts)
+
+def _box_side(ring: ResidueRing) -> int:
+    # z^3 mod 3^k depends only on z mod 3^(k-1) once k >= 2 (module docstring).
+    return ring.modulus // 3 if ring.k >= 2 else ring.modulus
 
 
 def _form_values(x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,23 +272,23 @@ def _rhs_coords(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
     return (3 * ca + 6) % m, (3 * cb) % m
 
 
-def descent_form_image(ring: ResidueRing, jobs: int = 1) -> ResidueSet:
+def descent_form_image(ring: ResidueRing) -> ResidueSet:
     """{(x + w y)^2 (x + w^2 y) mod 3^k : x, y rational-integer residues}.
 
     x and y range over Z/(3^k) only, not the full ring; producer indices
     encode the lex-first (x, y) as x*m + y.
     """
-    values, producers = _scan_grid(ring, _form_values, jobs)
+    values, producers = _scan_grid(ring, _form_values, ring.modulus)
     return ResidueSet("form-image", ring, values, producers)
 
 
-def cube_values(ring: ResidueRing, jobs: int = 1) -> ResidueSet:
+def cube_values(ring: ResidueRing) -> ResidueSet:
     """{z^3 : z over the full ring}; producers encode the lex-first z."""
-    values, producers = _scan_grid(ring, _cube_coords, jobs)
+    values, producers = _scan_grid(ring, _cube_coords, _box_side(ring))
     return ResidueSet("cubes", ring, values, producers)
 
 
-def rhs_values(ring: ResidueRing, jobs: int = 1) -> ResidueSet:
+def rhs_values(ring: ResidueRing) -> ResidueSet:
     """{3(z^3 + 2) : z over the full ring}; producers encode the lex-first z."""
-    values, producers = _scan_grid(ring, _rhs_coords, jobs)
+    values, producers = _scan_grid(ring, _rhs_coords, _box_side(ring))
     return ResidueSet("rhs", ring, values, producers)

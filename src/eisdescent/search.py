@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -79,7 +78,7 @@ class SearchReport:
         return make_document(report, self.params, self.elapsed_s)
 
 
-def _classify_chunk(coeffs, points: list[Fraction]) -> tuple[dict[str, int], list[dict]]:
+def _classify_points(coeffs, points: list[Fraction]) -> tuple[dict[str, int], list[dict]]:
     counts = {kind.value: 0 for kind in DescentKind}
     found = []
     for z0 in points:
@@ -98,7 +97,7 @@ def _classify_chunk(coeffs, points: list[Fraction]) -> tuple[dict[str, int], lis
     return counts, found
 
 
-def search(coefficients: Sequence, height: int, jobs: int = 1) -> SearchReport:
+def search(coefficients: Sequence, height: int) -> SearchReport:
     """Classify every rational point of height <= `height`, plus infinity.
 
     `coefficients` lists f of t^3 = f(z) from the constant term up; entries
@@ -119,22 +118,7 @@ def search(coefficients: Sequence, height: int, jobs: int = 1) -> SearchReport:
         raise ValueError("cover polynomial must have degree >= 1")
 
     points = list(enumerate_rationals(height))
-    if jobs == 1 or len(points) < 2:
-        parts = [_classify_chunk(coeffs, points)]
-    else:
-        workers = jobs if jobs > 0 else 4
-        size = (len(points) + workers - 1) // workers
-        chunks = [points[i:i + size] for i in range(0, len(points), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _classify_chunk(coeffs, ch), chunks))
-
-    counts = {kind.value: 0 for kind in DescentKind}
-    descends: list[dict] = []
-    for part_counts, part_found in parts:
-        for name, n in part_counts.items():
-            counts[name] += n
-        descends.extend(part_found)
-
+    counts, descends = _classify_points(coeffs, points)
     inf_cls = specialize(coeffs, INFINITY)
     counts[inf_cls.kind.value] += 1
     infinity_entry = {

@@ -11,8 +11,8 @@ image sets, to set algebra over dense bitsets:
 The no-solution check fails for k = 1, 2 and holds from k = 3 (modulus 27)
 on, hence also at modulus 81, the modulus at which both checks are certified
 for the cover t^3 = 3(z^3 + 2); the minimal-modulus scan finds k = 3.
-Reports are deterministic: counterexample lists are sorted, capped at a
-fixed size, and independent of the worker count.
+Reports are deterministic: counterexample lists are sorted and capped at a
+fixed size.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import fingerprint, make_document
-from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
+from .residues import MAX_VERIFY_K, ResidueRing, cube_values, descent_form_image, rhs_values
 
 __all__ = [
     "MAX_VERIFY_K",
@@ -33,7 +33,6 @@ __all__ = [
     "verify_no_solution",
 ]
 
-MAX_VERIFY_K = 8  # 9^8 ~ 43M ring elements is the desk-scale ceiling
 COUNTEREXAMPLE_CAP = 100
 
 
@@ -79,7 +78,7 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 1..{MAX_VERIFY_K}, got {k}")
 
 
-def verify_cube_closure(k: int, jobs: int = 1) -> VerificationReport:
+def verify_cube_closure(k: int) -> VerificationReport:
     """Check that the form image mod 3^k is closed under multiplication by cubes.
 
     For every cube value u and every form value s, u*s must land back in the
@@ -90,8 +89,8 @@ def verify_cube_closure(k: int, jobs: int = 1) -> VerificationReport:
     start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
-    cubes = cube_values(ring, jobs)
-    image = descent_form_image(ring, jobs)
+    cubes = cube_values(ring)
+    image = descent_form_image(ring)
 
     sa = image.values // m
     sb = image.values % m
@@ -122,7 +121,7 @@ def verify_cube_closure(k: int, jobs: int = 1) -> VerificationReport:
     )
 
 
-def verify_no_solution(k: int, jobs: int = 1) -> VerificationReport:
+def verify_no_solution(k: int) -> VerificationReport:
     """Check that the form image and {3(z^3 + 2)} are disjoint mod 3^k.
 
     Counterexamples list, per common value, the lex-first (x, y) producing
@@ -133,8 +132,8 @@ def verify_no_solution(k: int, jobs: int = 1) -> VerificationReport:
     start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
-    image = descent_form_image(ring, jobs)
-    rhs = rhs_values(ring, jobs)
+    image = descent_form_image(ring)
+    rhs = rhs_values(ring)
 
     common = np.nonzero(image.bitset & rhs.bitset)[0]
     failures = []
@@ -159,10 +158,10 @@ def verify_no_solution(k: int, jobs: int = 1) -> VerificationReport:
     )
 
 
-def minimal_modulus(max_k: int, jobs: int = 1) -> int | None:
+def minimal_modulus(max_k: int) -> int | None:
     """Smallest k <= max_k for which the no-solution check holds, if any."""
     _check_k(max_k)
     for k in range(1, max_k + 1):
-        if verify_no_solution(k, jobs).holds:
+        if verify_no_solution(k).holds:
             return k
     return None

