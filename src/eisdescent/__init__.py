@@ -38,7 +38,6 @@ from .eisenstein import (
 )
 from .parsing import ParseError, parse_element
 from .residues import (
-    ResidueElement,
     ResidueRing,
     ResidueSet,
     cube_values,
@@ -69,7 +68,6 @@ __all__ = [
     "pi_valuation",
     "ParseError",
     "parse_element",
-    "ResidueElement",
     "ResidueRing",
     "ResidueSet",
     "cube_values",

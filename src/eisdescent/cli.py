@@ -4,7 +4,8 @@ Subcommands: verify, minimal-modulus, classify, solve, factor, reduce,
 search, dump-set.  Every command prints a stable JSON document on stdout
 (`--json PATH` additionally writes it to a file) and exits 0 on success,
 1 when an explicitly expected verification outcome is contradicted or an
-internal consistency check fails, 2 on usage errors.
+internal consistency check fails, 2 on usage errors, among them an output
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .descent import (
 from .eisenstein import factor, is_cube
 from .parsing import ParseError, parse_element
 from .reports import dumps_document, make_document
-from .residues import MAX_VERIFY_K, ResidueRing, cube_values, descent_form_image, rhs_values
+from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
 from .search import search
 from .verify import minimal_modulus, verify_cube_closure, verify_no_solution
 
@@ -96,10 +97,10 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _emit(document: dict, json_path: str | None) -> None:
     text = dumps_document(document)
-    sys.stdout.write(text)
     if json_path:
         with open(json_path, "w", encoding="ascii") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _cmd_verify(args) -> int:
@@ -211,8 +212,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_dump_set(args) -> int:
-    if not 1 <= args.k <= MAX_VERIFY_K:
-        raise ValueError(f"k must be in 1..{MAX_VERIFY_K}, got {args.k}")
     start = time.perf_counter()
     ring = ResidueRing(args.k)
     image = _SET_BUILDERS[args.set](ring)
@@ -240,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, NotDivisibleError, ValueError, ZeroDivisionError) as exc:
+    except (ParseError, NotDivisibleError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

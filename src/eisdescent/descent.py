@@ -207,12 +207,11 @@ def pi_divides_both_factors(x: int, y: int) -> bool:
     return divmod(beta, PI)[1] == 0 and divmod(gamma, PI)[1] == 0
 
 
-def specialize(coefficients: Sequence, z0) -> DescentClassification:
-    """Classify the specialization of t^3 = f(z) at z = z0 (or infinity).
+def _cover_coefficients(coefficients: Sequence) -> tuple[list[EisensteinRational], int]:
+    """f of t^3 = f(z) as elements of Q(w), constant term first, and its degree.
 
-    `coefficients` lists f from the constant term up.  At infinity the
-    projective model of a cubic f has residue value equal to the leading
-    coefficient; for other degrees the point is classified Undefined.
+    Raises TypeError for an entry that is not in Q(w) and ValueError when f
+    has degree < 1.
     """
     coeffs = []
     for c in coefficients:
@@ -225,7 +224,18 @@ def specialize(coefficients: Sequence, z0) -> DescentClassification:
         if c:
             degree = i
     if degree < 1:
-        raise ValueError("polynomial must have degree >= 1")
+        raise ValueError("cover polynomial must have degree >= 1")
+    return coeffs, degree
+
+
+def specialize(coefficients: Sequence, z0) -> DescentClassification:
+    """Classify the specialization of t^3 = f(z) at z = z0 (or infinity).
+
+    `coefficients` lists f from the constant term up.  At infinity the
+    projective model of a cubic f has residue value equal to the leading
+    coefficient; for other degrees the point is classified Undefined.
+    """
+    coeffs, degree = _cover_coefficients(coefficients)
     if z0 is INFINITY:
         if degree != 3:
             return DescentClassification(DescentKind.UNDEFINED)

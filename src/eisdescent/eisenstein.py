@@ -270,6 +270,9 @@ class EisensteinRational:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
+        # Equal to the hash of the equal int, Fraction or EisensteinInt.
+        if self._den == 1:
+            return hash(self._num)
         if self._num.b == 0:
             return hash(Fraction(self._num.a, self._den))
         return hash((self._num.a, self._num.b, self._den))

@@ -3,9 +3,11 @@
 Everything here is plain-integer arithmetic (no floating point anywhere);
 the rest of the package relies on these results being exact.  Factorization
 is trial division for small primes followed by Brent's variant of Pollard
-rho, with a deterministic Miller-Rabin test to decide when to stop.  All
-norms showing up in practice are desk-scale (well below 2^128), for which
-this combination is instant.
+rho, with a deterministic Miller-Rabin test to decide when to stop.  Rho's
+work grows like the square root of the cofactor's smallest prime factor, and
+nothing bounds it: on a 2-core x86 VM (Python 3.11), two products of two
+random primes each took 0.06 s at 64 bits, 0.07 and 0.9 s at 80 bits and
+3.7 and 6.6 s at 96 bits; the time varies several-fold with the primes.
 """
 
 from __future__ import annotations

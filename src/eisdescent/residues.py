@@ -1,11 +1,13 @@
-"""The finite rings Z[w]/(3^k): elements, reduction, and exhaustive image sets.
+"""Exhaustive image sets in the finite rings Z[w]/(3^k), scanned with numpy.
 
-A ring element is a coordinate pair (a, b) with a, b in [0, 3^k), multiplied
-with the usual w^2 = -1 - w reduction; the ring has 9^k elements.  The image
-sets needed by the lemma verifier are computed by scanning a coordinate grid
-with numpy and storing each set as a dense bitset indexed by a*m + b
-(m = 3^k), alongside the lexicographically first producer of every value so
-that counterexample reports are reproducible.
+An element of Z[w]/(3^k) is the coordinate pair (a, b), a, b in [0, 3^k),
+standing for a + b w with w^2 = -1 - w; it is never an object here, only
+the index a*m + b (m = 3^k) into the ring's 9^k elements.  `ResidueRing`
+holds k, and its constructor is where k is bounded (1 <= k <= MAX_VERIFY_K).
+The image sets needed by the lemma verifier are computed by scanning a
+coordinate grid with numpy and stored as a dense bitset over those indices,
+alongside the lexicographically first producer of every value so that
+counterexample reports are reproducible.
 
 A scan scatters every producer index into a dense array of 9^k slots with
 np.minimum.at, so each slot ends up holding the smallest producer of its
@@ -22,15 +24,13 @@ is not periodic mod 3^(k-1) and is scanned over the full grid.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .eisenstein import EisensteinInt
-
 __all__ = [
     "MAX_VERIFY_K",
-    "ResidueElement",
     "ResidueRing",
     "ResidueSet",
     "cube_values",
@@ -38,141 +38,29 @@ __all__ = [
     "rhs_values",
 ]
 
-MAX_K = 19  # 3^19 keeps every intermediate product inside int64
-MAX_VERIFY_K = 8  # a scan allocates 9^k int64 slots: 344 MB at k = 8
+# The one bound on k.  A scan allocates 9^k int64 slots: 344 MB at k = 8,
+# 3.1 GB at k = 9.  Intermediates stay below 2 * 9^k, far inside int64.
+MAX_VERIFY_K = 8
 _CHUNK_CELLS = 1 << 20
 
 
+@dataclass(frozen=True)
 class ResidueRing:
-    """Z[w]/(3^k) for k >= 1."""
+    """Z[w]/(3^k) for 1 <= k <= MAX_VERIFY_K, the only place k is checked."""
 
-    __slots__ = ("_k", "_m")
+    k: int
 
-    def __init__(self, k: int) -> None:
-        if not 1 <= k <= MAX_K:
-            raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-        self._k = k
-        self._m = 3**k
-
-    @property
-    def k(self) -> int:
-        return self._k
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= MAX_VERIFY_K:
+            raise ValueError(f"k must be in 1..{MAX_VERIFY_K}, got {self.k}")
 
     @property
     def modulus(self) -> int:
-        return self._m
+        return 3**self.k
 
     @property
     def size(self) -> int:
-        return self._m * self._m
-
-    def element(self, a: int, b: int) -> ResidueElement:
-        return ResidueElement(a % self._m, b % self._m, self)
-
-    def reduce(self, alpha: EisensteinInt) -> ResidueElement:
-        """Coordinatewise reduction Z[w] -> Z[w]/(3^k); a ring homomorphism."""
-        return self.element(alpha.a, alpha.b)
-
-    def zero(self) -> ResidueElement:
-        return ResidueElement(0, 0, self)
-
-    def one(self) -> ResidueElement:
-        return ResidueElement(1, 0, self)
-
-    def __iter__(self) -> Iterator[ResidueElement]:
-        """All 9^k elements exactly once, lexicographic in (a, b)."""
-        for a in range(self._m):
-            for b in range(self._m):
-                yield ResidueElement(a, b, self)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResidueRing):
-            return NotImplemented
-        return self._k == other._k
-
-    def __hash__(self):
-        return hash(("ResidueRing", self._k))
-
-    def __repr__(self) -> str:
-        return f"ResidueRing(k={self._k})"
-
-
-class ResidueElement:
-    """An element of Z[w]/(3^k), coordinates always reduced mod 3^k."""
-
-    __slots__ = ("_a", "_b", "_ring")
-
-    def __init__(self, a: int, b: int, ring: ResidueRing) -> None:
-        self._a = a
-        self._b = b
-        self._ring = ring
-
-    @property
-    def a(self) -> int:
-        return self._a
-
-    @property
-    def b(self) -> int:
-        return self._b
-
-    @property
-    def ring(self) -> ResidueRing:
-        return self._ring
-
-    @property
-    def index(self) -> int:
-        return self._a * self._ring.modulus + self._b
-
-    def _check_ring(self, other: ResidueElement) -> None:
-        if self._ring != other._ring:
-            raise ValueError("cannot mix elements of different residue rings")
-
-    def __add__(self, other: ResidueElement) -> ResidueElement:
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        self._check_ring(other)
-        m = self._ring.modulus
-        return ResidueElement((self._a + other._a) % m, (self._b + other._b) % m, self._ring)
-
-    def __neg__(self) -> ResidueElement:
-        m = self._ring.modulus
-        return ResidueElement(-self._a % m, -self._b % m, self._ring)
-
-    def __sub__(self, other: ResidueElement) -> ResidueElement:
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: ResidueElement) -> ResidueElement:
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        self._check_ring(other)
-        m = self._ring.modulus
-        a, b, c, d = self._a, self._b, other._a, other._b
-        return ResidueElement((a * c - b * d) % m, (a * d + b * c - b * d) % m, self._ring)
-
-    def __pow__(self, n: int) -> ResidueElement:
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = self._ring.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResidueElement):
-            return NotImplemented
-        return self._ring == other._ring and self._a == other._a and self._b == other._b
-
-    def __hash__(self):
-        return hash((self._ring.k, self._a, self._b))
-
-    def __repr__(self) -> str:
-        return f"ResidueElement({self._a}, {self._b}, k={self._ring.k})"
+        return 9**self.k
 
 
 class ResidueSet:
@@ -199,16 +87,6 @@ class ResidueSet:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def __contains__(self, element: ResidueElement) -> bool:
-        if element.ring != self.ring:
-            raise ValueError("element belongs to a different ring")
-        return bool(self.bitset[element.index])
-
-    def __iter__(self) -> Iterator[ResidueElement]:
-        m = self.ring.modulus
-        for v in self.values:
-            yield ResidueElement(int(v) // m, int(v) % m, self.ring)
-
     def producer_of(self, value_index: int) -> int:
         """Smallest producer index for a member value (lex-first witness)."""
         pos = int(np.searchsorted(self.values, value_index))
@@ -233,8 +111,6 @@ def _scan_grid(ring: ResidueRing,
     Returns the distinct value indices and, per value, the smallest producer
     index first*m + second that reached it.
     """
-    if ring.k > MAX_VERIFY_K:
-        raise ValueError(f"scans need k <= {MAX_VERIFY_K}, got {ring.k}")
     m = ring.modulus
     unseen = ring.size
     first_producer = np.full(unseen, unseen, dtype=np.int64)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .descent import INFINITY, DescentKind, galois_commutes, specialize
-from .eisenstein import _as_rational_element
+from .descent import INFINITY, DescentKind, _cover_coefficients, galois_commutes, specialize
 from .reports import fingerprint, make_document
 
 __all__ = ["SearchReport", "enumerate_rationals", "search"]
@@ -104,18 +103,7 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
     may be integers, Fractions, or elements of Q(w).
     """
     start = time.perf_counter()
-    coeffs = []
-    for c in coefficients:
-        ce = _as_rational_element(c)
-        if ce is None:
-            raise TypeError(f"bad coefficient {c!r}")
-        coeffs.append(ce)
-    degree = -1
-    for i, c in enumerate(coeffs):
-        if c:
-            degree = i
-    if degree < 1:
-        raise ValueError("cover polynomial must have degree >= 1")
+    coeffs, degree = _cover_coefficients(coefficients)
 
     points = list(enumerate_rationals(height))
     counts, descends = _classify_points(coeffs, points)

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import fingerprint, make_document
-from .residues import MAX_VERIFY_K, ResidueRing, cube_values, descent_form_image, rhs_values
+from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
 
 __all__ = [
-    "MAX_VERIFY_K",
     "VerificationReport",
     "minimal_modulus",
     "verify_cube_closure",
@@ -73,11 +72,6 @@ class VerificationReport:
         return make_document(report, self.params, self.elapsed_s)
 
 
-def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_VERIFY_K:
-        raise ValueError(f"k must be in 1..{MAX_VERIFY_K}, got {k}")
-
-
 def verify_cube_closure(k: int) -> VerificationReport:
     """Check that the form image mod 3^k is closed under multiplication by cubes.
 
@@ -85,7 +79,6 @@ def verify_cube_closure(k: int) -> VerificationReport:
     form image.  Counterexamples list the lex-first cube root c of u and the
     lex-first (x, y) producing s.
     """
-    _check_k(k)
     start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
@@ -128,7 +121,6 @@ def verify_no_solution(k: int) -> VerificationReport:
     it as a form value and the lex-first z producing it on the right-hand
     side.  Fails for k = 1, 2 and holds for every k >= 3 (so also at k = 4).
     """
-    _check_k(k)
     start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
@@ -160,7 +152,7 @@ def verify_no_solution(k: int) -> VerificationReport:
 
 def minimal_modulus(max_k: int) -> int | None:
     """Smallest k <= max_k for which the no-solution check holds, if any."""
-    _check_k(max_k)
+    ResidueRing(max_k)  # reject an out-of-range max_k before scanning
     for k in range(1, max_k + 1):
         if verify_no_solution(k).holds:
             return k

@@ -186,6 +186,35 @@ class TestJsonAndStability:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("k", [0, 9])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "no-solution", "--k"],
+        ["verify", "cube-closure", "--k"],
+        ["minimal-modulus", "--max-k"],
+        ["dump-set", "cubes", "--path", "{csv}", "--k"],
+    ])
+    def test_k_out_of_range(self, capsys, tmp_path, argv, k):
+        csv = str(tmp_path / "set.csv")
+        code, out, err = run_cli(capsys, *[a.format(csv=csv) for a in argv], str(k))
+        assert code == 2
+        assert err == f"error: k must be in 1..8, got {k}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_csv_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "dump-set", "rhs", "--k", "1", "--path", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "x.csv" in err
+        assert out == ""
+
+    def test_unwritable_json_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "classify", "1", "--json", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "x.json" in err
+        assert out == ""
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,23 @@ def test_demos_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_cleanly(demo):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_cleanly(demo):
+    proc = run_python(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr

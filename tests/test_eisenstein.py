@@ -358,6 +358,25 @@ class TestEisensteinRational:
         assert EisensteinRational(EisensteinInt(3, 0), 6) == Fraction(1, 2)
         assert hash(EisensteinRational(EisensteinInt(3, 0), 6)) == hash(Fraction(1, 2))
 
+    def test_equal_values_hash_equal(self):
+        groups = [
+            [1, Fraction(1), EisensteinInt(1), EisensteinRational(1)],
+            [-7, Fraction(-14, 2), EisensteinInt(-7, 0), EisensteinRational(EisensteinInt(-21), 3)],
+            [Fraction(1, 2), EisensteinRational(EisensteinInt(3, 0), 6)],
+            [EisensteinInt(1, 1), EisensteinRational(EisensteinInt(1, 1))],
+            [EisensteinInt(-4, 6), EisensteinRational(EisensteinInt(-8, 12), 2)],
+        ]
+        for group in groups:
+            rationals = [x for x in group if isinstance(x, EisensteinRational)]
+            for x in group:
+                for r in rationals:
+                    assert x == r and hash(x) == hash(r), (x, r)
+            assert len(set(group)) == 1, group
+        rng = random.Random(13)
+        for _ in range(200):
+            x = rand_int_element(rng, 10**6)
+            assert len({x, EisensteinRational(x)}) == 1
+
     def test_powers_including_negative(self):
         x = EisensteinRational(PI, 2)
         assert x**3 * x**-3 == 1
