@@ -127,6 +127,8 @@ def descent_form_preimage(a) -> Optional[DescentWitness]:
     is r.  For a = 0 the preimage is (0, 0).
     """
     a = _as_rational_element(a)
+    if a is None:
+        raise TypeError("descent_form_preimage expects an element of Q(w)")
     if not a:
         return DescentWitness(Fraction(0), Fraction(0), EisensteinRational(0))
     n = a.norm()

@@ -91,6 +91,8 @@ class EisensteinInt:
             return self._a == other and self._b == 0
         if isinstance(other, EisensteinInt):
             return self._a == other._a and self._b == other._b
+        if isinstance(other, Fraction):
+            return self._b == 0 and other == self._a
         return NotImplemented
 
     def __hash__(self):

@@ -4,10 +4,13 @@ Everything here is plain-integer arithmetic (no floating point anywhere);
 the rest of the package relies on these results being exact.  Factorization
 is trial division for small primes followed by Brent's variant of Pollard
 rho, with a deterministic Miller-Rabin test to decide when to stop.  Rho's
-work grows like the square root of the cofactor's smallest prime factor, and
-nothing bounds it: on a 2-core x86 VM (Python 3.11), two products of two
-random primes each took 0.06 s at 64 bits, 0.07 and 0.9 s at 80 bits and
-3.7 and 6.6 s at 96 bits; the time varies several-fold with the primes.
+work grows like the square root of the cofactor's smallest prime factor, so
+each rho split gives up with ValueError after RHO_STEPS = 2^22 modular
+squarings: 2.5-3.3 s on a 96-bit cofactor on a 2-core x86 VM (Python 3.11),
+where products of two random primes took 0.06 s at 64 bits, 0.7-1.1 s at 80
+bits and 0.7-1.4 s at 88 bits, and two at 96 bits gave up.  A call makes one
+split per prime factor above TRIAL_LIMIT, so its rho work is at most
+RHO_STEPS times that count.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from random import Random
 
 TRIAL_LIMIT = 10_000
+RHO_STEPS = 1 << 22
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -24,7 +28,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -46,13 +50,20 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, rng: Random) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle finding)."""
+    """One nontrivial factor of composite odd n (Brent's cycle finding).
+
+    Raises ValueError rather than pass RHO_STEPS modular squarings."""
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         while g == 1:
+            if steps + 2 * r > RHO_STEPS:  # a round costs at most 2r squarings
+                raise ValueError(f"factoring gave up on a {n.bit_length()}-bit "
+                                 f"cofactor after {steps} rho steps")
+            steps += 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -1,23 +1,34 @@
 """Text grammar for elements of Q(w), shared by the CLI and reports.
 
-    element  := term (('+'|'-') term)*
+    element  := '-'? term (('+'|'-') term)*
     term     := rational | rational? '*'? 'w'
     rational := INT ('/' POSINT)?
 
-ASCII, whitespace-insensitive; "w" denotes the primitive cube root of unity.
-A leading minus sign is part of the first INT ("-3", "-5/3*w").  Serialization
-(str() on the element types) always emits the fully reduced "A/B+C/D*w" shape
-with zero parts omitted, which re-parses to an equal value.
+"w" denotes the primitive cube root of unity.  Whitespace may stand between
+any two tokens but ends a number: "1 2" is two numbers, not 12.  The leading
+minus sign belongs to the first number ("-3", "-5/3*w"; "-w" is an error).
+Serialization (str() on the element types) always emits the fully reduced
+"A/B+C/D*w" shape with zero parts omitted, which re-parses to an equal value.
+
+A ParseError carries a 1-based column.  A character outside the grammar is
+reported at its own column, before any syntax error.  Otherwise the error is
+at the first token where the text stops being the start of a valid element
+("1//2" -> 3, "3*" -> 3, "-w" -> 2, "+1" -> 1, "1 2" -> 3), or at
+len(text) + 1 when the text ends too early ("1+" -> 3).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .eisenstein import EisensteinRational
 
 __all__ = ["ParseError", "parse_element"]
+
+_ILLEGAL = re.compile(r"[^\s\dw/*+-]")
+# Each part is optional, so a match stops where a term can no longer continue.
+_TERM = re.compile(r"\s*(?:(\d+)(?:\s*(/)(?:\s*(\d+))?)?)?(?:\s*(\*))?(?:\s*(w))?\s*")
 
 
 class ParseError(ValueError):
@@ -28,130 +39,42 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Token(NamedTuple):
-    kind: str  # INT | SLASH | STAR | PLUS | MINUS | W | EOF
-    text: str
-    pos: int  # 1-based
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], pos))
-            i = j
-        elif ch == "w":
-            tokens.append(_Token("W", ch, pos))
-            i += 1
-        elif ch == "/":
-            tokens.append(_Token("SLASH", ch, pos))
-            i += 1
-        elif ch == "*":
-            tokens.append(_Token("STAR", ch, pos))
-            i += 1
-        elif ch == "+":
-            tokens.append(_Token("PLUS", ch, pos))
-            i += 1
-        elif ch == "-":
-            tokens.append(_Token("MINUS", ch, pos))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("EOF", "", n + 1))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.pos)
-        return tok
-
-    def rational(self) -> Fraction:
-        num = int(self.expect("INT", "a number").text)
-        if self.peek().kind == "SLASH":
-            self.take()
-            tok = self.expect("INT", "a denominator")
-            den = int(tok.text)
-            if den == 0:
-                raise ParseError("zero denominator", tok.pos)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def term(self, allow_sign: bool) -> tuple[Fraction, bool]:
-        """One term; returns (value, is_w_term)."""
-        sign = 1
-        if allow_sign and self.peek().kind == "MINUS":
-            self.take()
-            sign = -1
-            if self.peek().kind != "INT":
-                raise ParseError("expected a number after '-'", self.peek().pos)
-        kind = self.peek().kind
-        if kind == "INT":
-            value = sign * self.rational()
-            if self.peek().kind == "STAR":
-                self.take()
-                self.expect("W", "'w'")
-                return value, True
-            if self.peek().kind == "W":
-                self.take()
-                return value, True
-            return value, False
-        if kind == "STAR":
-            self.take()
-            self.expect("W", "'w'")
-            return Fraction(1), True
-        if kind == "W":
-            self.take()
-            return Fraction(1), True
-        raise ParseError("expected a term", self.peek().pos)
-
-    def element(self) -> EisensteinRational:
-        x = Fraction(0)
-        y = Fraction(0)
-        value, is_w = self.term(allow_sign=True)
-        if is_w:
-            y += value
-        else:
-            x += value
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take()
-            value, is_w = self.term(allow_sign=False)
-            if op.kind == "MINUS":
-                value = -value
-            if is_w:
-                y += value
-            else:
-                x += value
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return EisensteinRational.from_coords(x, y)
+def _column(text: str, i: int) -> int:
+    """1-based column of the first non-space character at or after index i."""
+    return len(text) - len(text[i:].lstrip()) + 1
 
 
 def parse_element(text: str) -> EisensteinRational:
     """Parse an element expression; raises ParseError with a position."""
-    return _Parser(text).element()
+    bad = _ILLEGAL.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
+    x = y = Fraction(0)
+    lead = re.match(r"\s*-", text)
+    sign, pos = (-1, lead.end()) if lead else (1, 0)
+    while True:
+        m = _TERM.match(text, pos)
+        num, slash, den, star, w = m.groups()
+        if num is None and (lead or not (star or w)):
+            what = "a number after '-'" if lead else "a term"
+            raise ParseError(f"expected {what}", _column(text, pos))
+        lead = None
+        value = Fraction(int(num or 1))
+        if slash and den is None:
+            raise ParseError("expected a denominator", _column(text, m.end(2)))
+        if den is not None and int(den) == 0:
+            raise ParseError("zero denominator", m.start(3) + 1)
+        if star and not w:
+            raise ParseError("expected 'w'", _column(text, m.end(4)))
+        value /= int(den or 1)
+        if w:
+            y += sign * value
+        else:
+            x += sign * value
+        pos = m.end()
+        if pos == len(text):
+            return EisensteinRational.from_coords(x, y)
+        if text[pos] not in "+-":
+            raise ParseError(f"unexpected {text[pos]!r}", pos + 1)
+        sign = -1 if text[pos] == "-" else 1
+        pos += 1

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from eisdescent import intfactor
 from eisdescent.cli import main
 
 
@@ -112,6 +113,13 @@ class TestFactorCommand:
     def test_zero_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "factor", "0")
         assert code == 2
+
+    def test_rho_budget_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(intfactor, "RHO_STEPS", 1000)
+        code, out, err = run_cli(capsys, "factor", str((2**32 - 5) * (2**32 - 17)))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: factoring gave up on a 128-bit cofactor")
 
 
 class TestReduceCommand:

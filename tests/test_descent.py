@@ -68,6 +68,11 @@ class TestPreimage:
         w = descent_form_preimage(EisensteinRational(0))
         assert (w.x, w.y) == (0, 0)
 
+    @pytest.mark.parametrize("bad", [1.5, "x", None, 0.0])
+    def test_rejects_non_elements(self, bad):
+        with pytest.raises(TypeError, match="expects an element of Q"):
+            descent_form_preimage(bad)
+
     def test_roundtrip_random(self):
         rng = random.Random(33)
         for _ in range(300):

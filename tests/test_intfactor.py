@@ -1,9 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
+from eisdescent import intfactor
 from eisdescent.intfactor import exact_cbrt, factor_int, icbrt, is_probable_prime
+
+SEMIPRIME_64 = (2**32 - 5) * (2**32 - 17)
 
 
 def test_small_factorizations():
@@ -34,6 +38,15 @@ def test_hard_semiprime():
     # both factors above the trial-division limit
     p, q = 1_000_003, 1_000_033
     assert factor_int(p * q) == {p: 1, q: 1}
+
+
+def test_rho_budget_raises_fast(monkeypatch):
+    assert factor_int(SEMIPRIME_64) == {2**32 - 5: 1, 2**32 - 17: 1}
+    monkeypatch.setattr(intfactor, "RHO_STEPS", 1000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="64-bit cofactor"):
+        factor_int(SEMIPRIME_64)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_primality_edges():

@@ -2,8 +2,43 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisdescent import EisensteinInt, EisensteinRational, ParseError, parse_element
+
+BLANK = st.sampled_from(["", "", " ", "  ", "\t", " \n "])
+
+
+@st.composite
+def elements(draw):
+    """A valid element text, with whitespace between tokens, and its value."""
+    text = draw(BLANK)
+    x = y = Fraction(0)
+    for i in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["", "-"] if i == 0 else ["+", "-"]))
+        text += sign + draw(BLANK)
+        value = Fraction(1)
+        has_number = (sign == "-" and i == 0) or draw(st.booleans())
+        if has_number:
+            num = draw(st.integers(0, 10**30))
+            text += str(num)
+            value = Fraction(num)
+            if draw(st.booleans()):
+                den = draw(st.integers(1, 10**30))
+                text += draw(BLANK) + "/" + draw(BLANK) + str(den)
+                value /= den
+        is_w = not has_number or draw(st.booleans())
+        if is_w:
+            star = draw(st.sampled_from(["", "*"]))
+            text += draw(BLANK) + star + draw(BLANK) + "w"
+        value = -value if sign == "-" else value
+        if is_w:
+            y += value
+        else:
+            x += value
+        text += draw(BLANK)
+    return text, EisensteinRational.from_coords(x, y)
 
 
 def test_basic_examples():
@@ -39,9 +74,32 @@ def test_zero_denominator_rejected():
 
 
 def test_various_syntax_errors():
-    for bad in ["", "+1", "1+", "1//2", "ww", "1..", "3*", "1 2", "-w", "1*3"]:
-        with pytest.raises(ParseError):
+    cases = [("", 1), ("+1", 1), ("1+", 3), ("1//2", 3), ("ww", 2), ("1..", 2),
+             ("3*", 3), ("1 2", 3), ("-w", 2), ("1*3", 3), ("*", 2), ("1+-2", 3),
+             ("+3 4", 1), ("1/0 5", 3), ("1/*w", 3), ("1/2*3", 5), ("x+1 2", 1)]
+    for bad, position in cases:
+        with pytest.raises(ParseError) as err:
             parse_element(bad)
+        assert err.value.position == position, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements())
+def test_generated_elements_parse_to_their_value(case):
+    text, value = case
+    assert parse_element(text) == value
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789w/*+- ^.x", max_size=12))
+def test_arbitrary_text_parses_or_raises_parse_error(text):
+    try:
+        value = parse_element(text)
+    except ParseError as err:
+        assert 1 <= err.position <= len(text) + 1
+        assert str(err).endswith(f"(at position {err.position})")
+    else:
+        assert isinstance(value, EisensteinRational)
 
 
 def test_serialize_parse_roundtrip_1000_random():
