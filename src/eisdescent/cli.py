@@ -40,6 +40,10 @@ _SET_BUILDERS = {
 }
 
 
+# argparse reads an argument that starts with '-' as an option
+_ELEMENT_HELP = "an element of Q(w); put a negative one after '--', as in '-- -1/2'"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eisdescent",
@@ -60,15 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("classify", help="classify a specialization point of t^3 = z")
-    p.add_argument("element")
+    p.add_argument("element", help=_ELEMENT_HELP)
     _common_flags(p)
 
     p = sub.add_parser("solve", help="rational (x, y) with form(x, y) equal to the element")
-    p.add_argument("element")
+    p.add_argument("element", help=_ELEMENT_HELP)
     _common_flags(p)
 
     p = sub.add_parser("factor", help="canonical prime factorization in Z[w]")
-    p.add_argument("element")
+    p.add_argument("element", help=_ELEMENT_HELP)
     _common_flags(p)
 
     p = sub.add_parser("reduce", help="divide the form value at integer (x, y) by pi^3")
@@ -78,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="classify all rational points up to a height")
     p.add_argument("--coeffs", required=True,
-                   help="comma-separated coefficients of f, constant term first")
+                   help="comma-separated coefficients of f, constant term first; "
+                        "a list that starts with '-' needs '=', as in --coeffs=-1,0,1")
     p.add_argument("--height", type=int, required=True)
     _common_flags(p)
 

@@ -8,9 +8,12 @@ work grows like the square root of the cofactor's smallest prime factor, so
 each rho split gives up with ValueError after RHO_STEPS = 2^22 modular
 squarings: 2.5-3.3 s on a 96-bit cofactor on a 2-core x86 VM (Python 3.11),
 where products of two random primes took 0.06 s at 64 bits, 0.7-1.1 s at 80
-bits and 0.7-1.4 s at 88 bits, and two at 96 bits gave up.  A call makes one
-split per prime factor above TRIAL_LIMIT, so its rho work is at most
-RHO_STEPS times that count.
+bits and 0.7-1.4 s at 88 bits, and two at 96 bits gave up.  A call makes
+fewer splits than it has prime factors above TRIAL_LIMIT (with
+multiplicity), so its rho work is at most RHO_STEPS times that count.  A
+prime already found is divided out of every later cofactor, and a perfect
+power r^k is reduced to r before any rho run, so repeated primes, as in
+(pq)^3, cost one split, not one per copy.
 """
 
 from __future__ import annotations
@@ -104,37 +107,65 @@ def factor_int(n: int) -> dict[int, int]:
         d += 6
     if n == 1:
         return factors
-    # Remaining cofactor has no prime factor below TRIAL_LIMIT.
+    # Remaining cofactor has no prime factor below TRIAL_LIMIT.  Entries are
+    # (cofactor, multiplicity); primes already found and perfect powers are
+    # taken out before rho, so a repeated prime costs no second rho run.
     rng = Random(n)
-    stack = [n]
+    stack = [(n, 1)]
+    found: list[int] = []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
+        for p in found:
+            while m % p == 0:
+                factors[p] += e
+                m //= p
         if m == 1:
             continue
         if is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = e
+            found.append(m)
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.append((root, e * k))
             continue
         g = _brent_rho(m, rng)
-        stack.append(g)
-        stack.append(m // g)
+        stack.append((m // g, e))
+        stack.append((g, e))
     return factors
 
 
-def icbrt(n: int) -> int:
-    """Floor of the real cube root of n >= 0, by integer Newton iteration."""
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m = r^k and k >= 2 least, or (m, 1), for m free of primes
+    up to TRIAL_LIMIT: then r > TRIAL_LIMIT >= 2^13, which bounds k."""
+    for k in range(2, m.bit_length() // (TRIAL_LIMIT.bit_length() - 1) + 1):
+        r = iroot(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor of the real k-th root of n >= 0 (k >= 2), by integer Newton
+    iteration from above."""
     if n < 0:
-        raise ValueError("icbrt requires n >= 0")
+        raise ValueError("iroot requires n >= 0")
     if n == 0:
         return 0
-    x = 1 << ((n.bit_length() + 2) // 3)
+    x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
-        y = (2 * x + n // (x * x)) // 3
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             break
         x = y
-    while x * x * x > n:
+    while x**k > n:
         x -= 1
     return x
+
+
+def icbrt(n: int) -> int:
+    """Floor of the real cube root of n >= 0."""
+    return iroot(n, 3)
 
 
 def exact_cbrt(n: int) -> int | None:

@@ -85,6 +85,16 @@ class TestClassifyCommand:
         assert code == 2
         assert "position" in err
 
+    def test_negative_element_after_double_dash(self, capsys):
+        code, doc, _ = run_json(capsys, "classify", "--", "-1/2")
+        assert code == 0
+        assert doc["report"]["element"] == "-1/2"
+        assert doc["report"]["classification"] == "NoDescent"
+        # without "--" argparse reads -1/2 as an option
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "-1/2"])
+        assert exc.value.code == 2
+
 
 class TestSolveCommand:
     def test_solvable(self, capsys):
@@ -119,7 +129,8 @@ class TestFactorCommand:
         code, out, err = run_cli(capsys, "factor", str((2**32 - 5) * (2**32 - 17)))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: factoring gave up on a 128-bit cofactor")
+        # the norm (pq)^2 is a perfect square, so rho runs on the 64-bit pq
+        assert err.startswith("error: factoring gave up on a 64-bit cofactor")
 
 
 class TestReduceCommand:
@@ -154,6 +165,19 @@ class TestSearchCommand:
     def test_bad_coefficient_syntax(self, capsys):
         code, _, _ = run_cli(capsys, "search", "--coeffs", "6;3", "--height", "2")
         assert code == 2
+
+    def test_negative_leading_coefficient_with_equals(self, capsys, monkeypatch):
+        code, doc, _ = run_json(capsys, "search", "--coeffs=-1,0,1", "--height", "2")
+        assert code == 0
+        assert doc["report"]["coefficients"] == ["-1", "0", "1"]
+        # the separate form is an argparse error, and the help says so
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--coeffs", "-1,0,1", "--height", "2"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the example
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "--coeffs=-1,0,1" in capsys.readouterr().out
 
 
 class TestDumpSetCommand:

@@ -49,6 +49,35 @@ def test_rho_budget_raises_fast(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_repeated_primes_cost_one_rho_split(monkeypatch):
+    p = next(n for n in range(2**35 + 1, 2**36, 2) if is_probable_prime(n))
+    q = next(n for n in range(2**35 + 2**34 + 1, 2**36, 2) if is_probable_prime(n))
+    calls = []
+    brent_rho = intfactor._brent_rho
+    monkeypatch.setattr(intfactor, "_brent_rho", lambda n, rng: calls.append(n) or brent_rho(n, rng))
+    assert factor_int((p * q) ** 3) == {p: 3, q: 3}
+    assert len(calls) <= 1
+    calls.clear()
+    assert factor_int(p**5 * q**2 * 7) == {7: 1, p: 5, q: 2}
+    assert len(calls) <= 1
+
+
+def test_perfect_powers_of_large_primes():
+    p = 1_000_003
+    for k in range(1, 8):
+        assert factor_int(p**k) == {p: k}
+    assert factor_int(p**6 * 1_000_033**4) == {p: 6, 1_000_033: 4}
+
+
+def test_iroot_floor():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(0, 2 ** rng.randrange(1, 300))
+        k = rng.randrange(2, 9)
+        r = intfactor.iroot(n, k)
+        assert r**k <= n < (r + 1) ** k
+
+
 def test_primality_edges():
     assert not is_probable_prime(1)
     assert is_probable_prime(2)
