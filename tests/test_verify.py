@@ -1,14 +1,39 @@
+import hashlib
 import json
+import time
 
 import pytest
 
-from eisdescent import minimal_modulus, verify_cube_closure, verify_no_solution
+from eisdescent import (
+    PI,
+    EisensteinInt,
+    ResidueRing,
+    ResidueSet,
+    cube_values,
+    descent_form_image,
+    minimal_modulus,
+    pi_valuation,
+    verify_cube_closure,
+    verify_no_solution,
+)
+from eisdescent import verify as verify_module
+from eisdescent.cli import main
 from eisdescent.reports import dumps_document
 
 # Pinned from the first verified run (regression constants of this build).
 FORM_IMAGE_SIZE_K4 = 1519
 CUBES_SIZE_K4 = 171
 RHS_SIZE_K4 = 21
+
+# sha256 of dumps_document(report) for verify_cube_closure(k), k = 1..5, as
+# produced by the exhaustive product loop before the subset test replaced it.
+CUBE_CLOSURE_REPORT_SHA256 = {
+    1: "5bd4f7157c3c0149adebfa9051f2052d703cb52f3ecccba2ddf2085575efd160",
+    2: "372352890b563271a8121c3659a4e63db23e0e49e3be796f4ec30b511676ecd4",
+    3: "36a011a9258cc33ebfe8141c34ce149f95b7f5bb8d284701659ab5337278c3d3",
+    4: "972ccecae84d2ddfe5ec9b77488376a344ce82e1455601fa5ca1d22ebf1afeb6",
+    5: "b06a7cdf59f2c3570e8640026976fc5e4748b88cdcfbb3cbb58eb4cd1173a243",
+}
 
 
 # --- independent naive oracle: plain loops, no package machinery -----------
@@ -134,11 +159,79 @@ class TestNoSolution:
 
 
 class TestCubeClosure:
-    def test_holds_for_k_up_to_4(self):
-        for k in (1, 2, 3, 4):
+    def test_holds_for_k_up_to_7(self):
+        for k in range(1, 8):
             report = verify_cube_closure(k)
             assert report.holds
             assert report.counterexample_count == 0
+            assert report.counterexamples == ()
+
+    def test_subset_test_agrees_with_exhaustive_products(self):
+        for k in range(1, 6):
+            ring = ResidueRing(k)
+            failures = verify_module._closure_failures(cube_values(ring),
+                                                       descent_form_image(ring))
+            report = verify_cube_closure(k)
+            assert report.holds == (not failures)
+            assert report.counterexample_count == len(failures)
+            assert report.counterexamples == tuple(
+                {"c": [ca, cb], "x": x, "y": y}
+                for ca, cb, x, y in failures[:verify_module.COUNTEREXAMPLE_CAP])
+            text = dumps_document(report.to_document()["report"])
+            assert hashlib.sha256(text.encode()).hexdigest() == CUBE_CLOSURE_REPORT_SHA256[k]
+
+    def test_fallback_lists_products_outside_a_doctored_image(self, monkeypatch):
+        k, m = 3, 27
+        dropped = _cube((0, 2), m)  # (2w)^3 = 8, with lex-first root (0, 2)
+        index = dropped[0] * m + dropped[1]
+
+        def image_without_dropped_cube(ring):
+            image = descent_form_image(ring)
+            keep = image.values != index
+            assert not keep.all()
+            return ResidueSet(image.name, ring, image.values[keep], image.producers[keep])
+
+        monkeypatch.setattr(verify_module, "descent_form_image", image_without_dropped_cube)
+        report = verify_cube_closure(k)
+        assert not report.holds
+        # 8 * form(1, 0) = 8 * 1 left the doctored image
+        assert {"c": [0, 2], "x": 1, "y": 0} in report.counterexamples
+
+        cubes = {_cube((a, b), m) for a in range(m) for b in range(m)}
+        image = {_form(x, y, m) for x in range(m) for y in range(m)} - {dropped}
+        naive_count = sum(_mul(u, s, m) not in image for u in cubes for s in image)
+        assert report.counterexample_count == naive_count
+
+    def test_cubes_are_form_values_identity(self):
+        # c^3 = phi((-pi)^j e^2 conj(e)^-1) for c = pi^j e, e a unit; with
+        # conj(e)^-1 = e / N(e) mod 3^k and phi(u) = u^2 conj(u) = _form(u).
+        # Integer lifts only, no scan.
+        for k in range(1, 5):
+            m = 3**k
+            for za in range(m):
+                for zb in range(m):
+                    if za == zb == 0:
+                        continue
+                    j, e = pi_valuation(EisensteinInt(za, zb))
+                    conj_e_inv = e * pow(e.norm(), -1, m)
+                    u = (-PI) ** j * e * e * conj_e_inv
+                    assert _cube((za, zb), m) == _form(u.a % m, u.b % m, m)
+
+    def test_k6_cli_regression(self, capsys):
+        start = time.perf_counter()
+        code = main(["verify", "cube-closure", "--k", "6"])
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["report"]["holds"] is True
+        assert elapsed < 5.0
+        m = 3**6
+        box = m // 3
+        assert doc["report"]["set_sizes"] == {
+            "cubes": len({_cube((a, b), m) for a in range(box) for b in range(box)}),
+            "form_image": len({_form(x, y, m) for x in range(m) for y in range(m)}),
+            "ring": m * m,
+        } == {"cubes": 13629, "form_image": 122641, "ring": 531441}
 
     def test_k4_report_shape(self):
         report = verify_cube_closure(4)
