@@ -123,8 +123,11 @@ def descent_form_preimage(a) -> Optional[DescentWitness]:
     """The unique rational (x, y) with form(x, y) = a, if any.
 
     N(form(x, y)) = N(x + w y)^3, so N(a) must be the cube of a rational
-    r >= 0; the sole candidate is then x + w y = a / r, accepted iff its norm
-    is r.  For a = 0 the preimage is (0, 0).
+    r >= 0, and the only candidate is x + w y = a / r.  Conversely, every
+    nonzero a whose norm is a rational cube r^3 is a form value: N(a/r) =
+    N(a)/r^2 = r, so form(a/r) = (a/r) * r = a.  So a has a preimage exactly
+    when N(a) is a rational cube; `DescentWitness` evaluates the form on it.
+    For a = 0 the preimage is (0, 0).
     """
     a = _as_rational_element(a)
     if a is None:
@@ -138,11 +141,7 @@ def descent_form_preimage(a) -> Optional[DescentWitness]:
     rd = exact_cbrt(n.denominator)
     if rd is None:
         return None
-    r = Fraction(rn, rd)
-    alpha = a / r
-    if alpha.norm() != r:
-        return None
-    x, y = alpha.coords
+    x, y = (a / Fraction(rn, rd)).coords
     return DescentWitness(x, y, a)
 
 

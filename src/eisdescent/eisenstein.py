@@ -520,32 +520,66 @@ def factor(alpha: EisensteinInt) -> Factorization:
     return Factorization(remaining, entries)
 
 
-def is_cube(a) -> tuple[bool, EisensteinRational | None]:
-    """Decide whether a in Q(w) is a cube; return a verified cube root if so.
+def _cube_root(a: int, b: int, n: int) -> tuple[int, int] | None:
+    """(x, y) with (x + y*w)^3 = a + b*w and N(x + y*w) = n >= 0, or None.
 
-    Clears denominators (a is a cube iff num * den^2 is a cube in Z[w],
-    because Z[w] is integrally closed), then factors: a nonzero integral
-    element is a cube iff every prime exponent is divisible by 3 and the
-    residual unit is 1 or -1 (the cubes of the six units are exactly 1, -1).
+    The cube roots beta, w*beta, w^2*beta of a + b*w all lie in Z[w] when
+    one does, and their traces t = 2x - y are the three roots of
+    t^3 - 3nt = 2a - b, because beta^3 + conj(beta)^3 = t^3 - 3nt.  The
+    cubic decreases on [-sqrt(n), sqrt(n)], which holds one of them, so
+    integer bisection finds it.  Then 3y^2 = 4n - t^2 and x = (t + y)/2
+    leave beta and conj(beta), which share t and n; y >= 0 is tried first,
+    and a candidate is returned only when it cubes to a + b*w exactly.
+    """
+    trace = 2 * a - b
+    lo = -math.isqrt(n)
+    hi = -lo
+    # least t in [lo, hi] with t^3 - 3nt <= trace
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid * (mid * mid - 3 * n) > trace:
+            lo = mid + 1
+        else:
+            hi = mid
+    t = lo
+    if t * (t * t - 3 * n) != trace:
+        return None
+    y2, rem = divmod(4 * n - t * t, 3)
+    s = math.isqrt(y2)
+    if rem or s * s != y2 or (t + s) % 2:
+        return None
+    for y in (s, -s):
+        x = (t + y) // 2
+        # (x + y*w)^3 = (x^3 - 3xy^2 + y^3) + 3xy(x - y)*w
+        if x * (x * x - 3 * y * y) + y * y * y == a and 3 * x * y * (x - y) == b:
+            return x, y
+    return None
+
+
+def is_cube(a) -> tuple[bool, EisensteinRational | None]:
+    """Decide whether a in Q(w) is a cube; return a cube root if so.
+
+    A rational a is a cube in Q(w) exactly when it is one in Q, and the root
+    returned is then the real one (-3/2 for -27/8).  Otherwise denominators
+    are cleared (a is a cube iff delta = num * den^2 is a cube in Z[w],
+    because Z[w] is integrally closed), n = N(delta)^(1/3) must be an
+    integer, and `_cube_root` decides with integer arithmetic alone; nothing
+    is factored.  The root returned for a non-rational a is the unique one
+    whose trace 2x - y lies in [-sqrt(N), sqrt(N)], N its norm: the traces
+    of the three roots are distinct unless a is rational.  Every root
+    returned cubes to a exactly.
     """
     a = _as_rational_element(a)
     if a is None:
         raise TypeError("is_cube expects an element of Q(w)")
-    if not a:
-        return True, EisensteinRational(EisensteinInt(0, 0), 1)
+    if a.is_rational():
+        rn, rd = exact_cbrt(a.num.a), exact_cbrt(a.den)
+        if rn is None or rd is None:
+            return False, None
+        return True, EisensteinRational(rn, rd)
     delta = a.num * (a.den * a.den)
-    # Necessary: N(delta) = N(root)^3 must be a perfect integer cube.
-    if exact_cbrt(delta.norm()) is None:
+    n = exact_cbrt(delta.norm())
+    root = None if n is None else _cube_root(delta.a, delta.b, n)
+    if root is None:
         return False, None
-    f = factor(delta)
-    if any(e % 3 for _, e in f.factors):
-        return False, None
-    if f.unit.b != 0:  # unit is w-free exactly for 1 and -1
-        return False, None
-    gamma = f.unit
-    for prime, e in f.factors:
-        gamma = gamma * prime ** (e // 3)
-    beta = EisensteinRational(gamma, a.den)
-    if beta**3 != a:
-        raise AssertionError("cube root reconstruction failed")
-    return True, beta
+    return True, EisensteinRational(EisensteinInt(*root), a.den)

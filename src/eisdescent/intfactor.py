@@ -1,19 +1,23 @@
 """Exact integer helpers: factorization and integer cube roots.
 
 Everything here is plain-integer arithmetic (no floating point anywhere);
-the rest of the package relies on these results being exact.  Factorization
-is trial division for small primes followed by Brent's variant of Pollard
-rho, with a deterministic Miller-Rabin test to decide when to stop.  Rho's
-work grows like the square root of the cofactor's smallest prime factor, so
-each rho split gives up with ValueError after RHO_STEPS = 2^22 modular
-squarings: 2.5-3.3 s on a 96-bit cofactor on a 2-core x86 VM (Python 3.11),
-where products of two random primes took 0.06 s at 64 bits, 0.7-1.1 s at 80
-bits and 0.7-1.4 s at 88 bits, and two at 96 bits gave up.  A call makes
-fewer splits than it has prime factors above TRIAL_LIMIT (with
-multiplicity), so its rho work is at most RHO_STEPS times that count.  A
-prime already found is divided out of every later cofactor, and a perfect
-power r^k is reduced to r before any rho run, so repeated primes, as in
-(pq)^3, cost one split, not one per copy.
+the rest of the package relies on these results being exact.  Only
+`eisenstein.factor`, and so only the `factor` command, factors: `classify`,
+`solve` and `search` use the integer roots alone, so the rho budget below
+and its usage error never apply to them.
+
+Factorization is trial division for small primes followed by Brent's
+variant of Pollard rho, with a deterministic Miller-Rabin test to decide
+when to stop.  Rho's work grows like the square root of the cofactor's
+smallest prime factor, so each rho split gives up with ValueError after
+RHO_STEPS = 2^22 modular squarings: 2.5-3.3 s on a 96-bit cofactor on a
+2-core x86 VM (Python 3.11), where products of two random primes took
+0.06 s at 64 bits, 0.7-1.1 s at 80 bits and 0.7-1.4 s at 88 bits, and two
+at 96 bits gave up.  A call makes fewer splits than it has prime factors
+above TRIAL_LIMIT (with multiplicity), so its rho work is at most RHO_STEPS
+times that count.  A prime already found is divided out of every later
+cofactor, and a perfect power r^k is reduced to r before any rho run, so
+repeated primes, as in (pq)^3, cost one split, not one per copy.
 """
 
 from __future__ import annotations

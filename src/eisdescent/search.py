@@ -21,9 +21,14 @@ and each step is exact:
   N(b)^3 or N(x + w y)^3, the cube of a rational; N(G) is an integer, so it
   is then a perfect integer cube.  A point whose N(G) is not one is
   NoDescent after one integer cube root.
-
-Every other nonzero G goes through `classify`; each Descends witness is
-checked again against f(z) and by the Galois identity.
+* Past the filter, N(G) = r^3 for an integer r >= 1, and every such G is a
+  form value: N(G/r) = N(G)/r^2 = r, so form(G/r) = (G/r) * r = G.  G is
+  therefore Disconnected when it is a cube and Descends with the witness
+  G/r otherwise.  A cube root b of G has N(b) = r, so `_cube_root` on G, r
+  decides with integers alone, and Disconnected rests on an exact b^3 = G.
+  A Descends point is checked once, in Z[w]: the form, G^2 conj(G) = r^3 G
+  (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
+  for f(z) = G/s^3 and x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.
 """
 
 from __future__ import annotations
@@ -37,13 +42,11 @@ from typing import Iterator, Sequence
 from .descent import (
     INFINITY,
     DescentKind,
-    DescentWitness,
     _cover_coefficients,
-    classify,
-    galois_commutes,
+    galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,
 )
-from .eisenstein import EisensteinInt, EisensteinRational
+from .eisenstein import EisensteinInt, EisensteinRational, _cube_root
 from .intfactor import icbrt
 from .reports import fingerprint, make_document
 
@@ -117,6 +120,7 @@ def _classify_points(coeffs, degree: int, height: int) -> tuple[dict[str, int], 
     """Tally the finite points of height <= `height`; see the module docstring."""
     counts = {kind.value: 0 for kind in DescentKind}
     undefined, no_descent = DescentKind.UNDEFINED.value, DescentKind.NO_DESCENT.value
+    disconnected, descends = DescentKind.DISCONNECTED.value, DescentKind.DESCENDS.value
     found = []
     coeffs = coeffs[:degree + 1]
     d = math.lcm(*(c.den for c in coeffs))
@@ -141,20 +145,24 @@ def _classify_points(coeffs, degree: int, height: int) -> tuple[dict[str, int], 
         if root * root * root != norm:
             counts[no_descent] += 1
             continue
-        cls = classify(EisensteinInt(ga, gb))
-        counts[cls.kind.value] += 1
-        if cls.kind is DescentKind.DESCENDS:
-            s = d * q ** (e // 3)
-            value = EisensteinRational(EisensteinInt(ga, gb), s ** 3)  # f(p/q)
-            w = DescentWitness(cls.witness.x / s, cls.witness.y / s, value)
-            z0 = Fraction(p, q)
-            if not galois_commutes(value, w):
-                raise AssertionError(f"witness at z={z0} fails the Galois identity")
-            found.append({
-                "z": str(z0),
-                "a": str(value),
-                "witness": {"x": str(w.x), "y": str(w.y)},
-            })
+        if _cube_root(ga, gb, root) is not None:
+            counts[disconnected] += 1
+            continue
+        counts[descends] += 1
+        z0 = Fraction(p, q)
+        g, r3 = EisensteinInt(ga, gb), root ** 3
+        g2 = g * g
+        form = g2 * g.conj()  # r^3 form(G/r)
+        if form != g * r3:
+            raise AssertionError(f"witness at z={z0} fails the form check")
+        if g2 * r3 != form * g:  # G^2 r^3 = conj(G) G^3
+            raise AssertionError(f"witness at z={z0} fails the Galois identity")
+        s = d * q ** (e // 3)
+        found.append({
+            "z": str(z0),
+            "a": str(EisensteinRational(g, s ** 3)),  # f(p/q)
+            "witness": {"x": str(Fraction(ga, root * s)), "y": str(Fraction(gb, root * s))},
+        })
     return counts, found
 
 

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
-from eisdescent import intfactor
+from eisdescent import EisensteinInt, descent_form, eisenstein, intfactor
 from eisdescent.cli import main
 
 
@@ -94,6 +96,45 @@ class TestClassifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "-1/2"])
         assert exc.value.code == 2
+
+
+def refuse_to_factor(*args):
+    raise AssertionError("factoring called")
+
+
+class TestClassifyWithoutFactoring:
+    # gamma = pi_p * pi_q for the primes p = 2^48 + 21, q = 2^48 + 75, both
+    # 1 mod 3, so N(w gamma^3) = (pq)^3 with pq a 97-bit semiprime that rho
+    # cannot split within RHO_STEPS
+    P, Q = 2**48 + 21, 2**48 + 75
+    GAMMA = EisensteinInt(-289019180290221, -273269434749583)
+
+    def test_large_w_cube_descends_fast(self, capsys):
+        assert self.GAMMA.norm() == self.P * self.Q
+        assert self.P % 3 == self.Q % 3 == 1
+        assert intfactor.is_probable_prime(self.P) and intfactor.is_probable_prime(self.Q)
+        value = EisensteinInt(0, 1) * self.GAMMA**3
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "classify", str(value))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        report = doc["report"]
+        assert report["classification"] == "Descends"
+        x, y = (Fraction(report["witness"][k]) for k in ("x", "y"))
+        assert descent_form(x, y) == value
+
+    @pytest.mark.parametrize("element,kind", [
+        ("-27/8", "Disconnected"),
+        (str(EisensteinInt(1234, -567) ** 3), "Disconnected"),
+        (str(EisensteinInt(0, 1) * EisensteinInt(1234, -567) ** 3), "Descends"),
+        ("6+5*w", "NoDescent"),  # norm 31 is not a cube
+    ])
+    def test_classify_never_factors(self, capsys, monkeypatch, element, kind):
+        monkeypatch.setattr(eisenstein, "factor", refuse_to_factor)
+        monkeypatch.setattr(eisenstein, "factor_int", refuse_to_factor)
+        code, doc, _ = run_json(capsys, "classify", "--", element)
+        assert code == 0
+        assert doc["report"]["classification"] == kind
 
 
 class TestSolveCommand:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisdescent import (
     INFINITY,
@@ -21,6 +23,8 @@ from eisdescent import (
     reduce_by_pi,
     specialize,
 )
+from eisdescent.eisenstein import UNITS
+from eisdescent.intfactor import exact_cbrt
 
 
 def form_by_direct_product(x, y):
@@ -100,6 +104,33 @@ class TestPreimage:
         for a in [1, -1, 8, Fraction(-27, 8), Fraction(1, 64)]:
             w = descent_form_preimage(Fraction(a))
             assert w is not None and w.y == 0
+
+
+small = st.integers(-50, 50)
+
+
+@st.composite
+def cube_norm_elements(draw):
+    """Nonzero a in Q(w) with N(a) a rational cube: u*c^3*alpha*N(alpha)^m
+    for a unit u, rationals c, alpha != 0 and m in {1, 4}, or a cube."""
+    alpha = EisensteinRational(EisensteinInt(draw(small), draw(small)), draw(st.integers(1, 20)))
+    if not alpha:
+        alpha = EisensteinRational(EisensteinInt(1, 2))
+    if draw(st.booleans()):
+        return alpha**3
+    c = Fraction(draw(small.filter(bool)), draw(st.integers(1, 20)))
+    unit = draw(st.sampled_from(UNITS))
+    return alpha * unit * c**3 * alpha.norm() ** draw(st.sampled_from([1, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cube_norm_elements())
+def test_every_element_with_cube_norm_has_a_preimage(a):
+    n = a.norm()
+    assert exact_cbrt(n.numerator) is not None and exact_cbrt(n.denominator) is not None
+    w = descent_form_preimage(a)
+    assert w is not None
+    assert form_by_direct_product(w.x, w.y) == a
 
 
 class TestWitness:

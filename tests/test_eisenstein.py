@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eisdescent import (
     OMEGA,
@@ -16,6 +18,8 @@ from eisdescent import (
     is_cube,
     pi_valuation,
 )
+from eisdescent.eisenstein import _cube_root
+from eisdescent.intfactor import exact_cbrt
 
 W = OMEGA
 
@@ -313,6 +317,73 @@ class TestIsCube:
             assert is_cube(cube * W)[0] is False
             assert is_cube(cube * EisensteinInt(1, 1))[0] is False
             assert is_cube(-cube)[0] is True
+
+    def test_root_rule(self):
+        # rational input: the real root
+        assert is_cube(Fraction(-27, 8)) == (True, Fraction(-3, 2))
+        assert is_cube(8) == (True, 2)
+        assert is_cube(-1) == (True, -1)
+        assert is_cube(Fraction(4, 27)) == (False, None)
+        # otherwise the one root whose trace 2x - y lies in [-sqrt(N), sqrt(N)]:
+        # of 2+w, w(2+w) = -1+w and w^2(2+w) = -1-2w (traces 3, -3, 0; N = 3)
+        # it is -1-2w
+        two_w = EisensteinInt(2, 1)
+        assert is_cube(two_w**3) == (True, EisensteinInt(-1, -2))
+        assert is_cube(EisensteinRational(two_w**3, 27)) == (
+            True, EisensteinRational(EisensteinInt(-1, -2), 3))
+        assert is_cube(PI**3) == (True, PI)  # trace 0
+        # 3+w, -1+2w, -2-3w have traces 5, -4, -1 and N = 7
+        assert is_cube(125 * EisensteinInt(3, 1)**3) == (True, EisensteinInt(-10, -15))
+
+    def test_root_trace_lies_in_the_middle(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            beta = rand_rational_element(rng, 40)
+            if beta.is_rational():
+                continue
+            ok, root = is_cube(beta**3 * rng.choice((1, -1)))
+            x, y = root.num.a, root.num.b
+            assert ok and (2 * x - y) ** 2 <= x * x - x * y + y * y
+            assert root in (beta, beta * W, beta * W * W, -beta, -beta * W, -beta * W * W)
+
+
+def cube_by_factoring(delta):
+    """Oracle: delta != 0 is a cube iff every prime exponent is divisible by
+    3 and the unit is 1 or -1 (the cubes of the six units)."""
+    f = factor(delta)
+    return all(e % 3 == 0 for _, e in f.factors) and f.unit in (1, -1)
+
+
+def test_cube_root_decision_matches_factoring():
+    rng = random.Random(12)
+    seen = set()
+    for i in range(3000):
+        if i % 2:
+            delta = rand_int_element(rng, 10**4)
+        else:
+            delta = rand_int_element(rng, 21) ** 3 * rng.choice(UNITS)
+        n = exact_cbrt(delta.norm())
+        root = None if n is None else _cube_root(delta.a, delta.b, n)
+        assert (root is not None) == cube_by_factoring(delta)
+        if root is not None:
+            assert EisensteinInt(*root) ** 3 == delta
+        seen.add(root is not None)
+    assert seen == {True, False}
+
+
+coordinate = st.integers(-(2**64), 2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate, coordinate, st.sampled_from(UNITS))
+def test_unit_times_cube_is_a_cube_iff_unit_is_plus_or_minus_one(x, y, unit):
+    beta = EisensteinInt(x, y)
+    if not beta:
+        beta = EisensteinInt(1, 0)
+    ok, root = is_cube(unit * beta**3)
+    assert ok is (unit in (1, -1))
+    if ok:
+        assert root**3 == unit * beta**3
 
 
 class TestEisensteinRational:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eisdescent import (
     INFINITY,
+    OMEGA,
     DescentKind,
     EisensteinInt,
     EisensteinRational,
@@ -17,6 +18,7 @@ from eisdescent import (
     search,
     specialize,
 )
+from eisdescent import eisenstein
 
 TARGET_COVER = [6, 0, 0, 3]  # f(z) = 3 z^3 + 6
 
@@ -156,6 +158,22 @@ def test_search_matches_pointwise_specialize(text, height):
         assert report.counts == counts
         assert report.n_points == n_points
         assert list(report.descends) == descends
+
+
+def refuse_to_factor(*args):
+    raise AssertionError("factoring called")
+
+
+@pytest.mark.parametrize("coeffs,height,kinds", [
+    ([0, 0, 0, OMEGA], 20, {"Descends", "Undefined"}),
+    ([OMEGA, 0, 0, 1], 40, {"Descends", "Disconnected", "NoDescent"}),
+    ([0, 0, 0, 1], 20, {"Disconnected", "Undefined"}),
+])
+def test_search_never_factors(monkeypatch, coeffs, height, kinds):
+    monkeypatch.setattr(eisenstein, "factor", refuse_to_factor)
+    monkeypatch.setattr(eisenstein, "factor_int", refuse_to_factor)
+    report = search(coeffs, height)
+    assert {kind for kind, n in report.counts.items() if n} == kinds
 
 
 def test_differential_covers_reach_every_kind():
