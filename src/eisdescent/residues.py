@@ -5,14 +5,11 @@ standing for a + b w with w^2 = -1 - w; it is never an object here, only
 the index a*m + b (m = 3^k) into the ring's 9^k elements.  `ResidueRing`
 holds k, and its constructor is where k is bounded (1 <= k <= MAX_VERIFY_K).
 The image sets needed by the lemma verifier are computed by scanning a
-coordinate grid with numpy and stored as a dense bitset over those indices,
-alongside the lexicographically first producer of every value so that
-counterexample reports are reproducible.
-
-A scan scatters every producer index into a dense array of 9^k slots with
-np.minimum.at, so each slot ends up holding the smallest producer of its
-value whatever order the grid is visited in.  The grid is processed in
-chunks only to bound memory.
+coordinate grid with numpy, in chunks to bound memory, and stored as a
+dense bitset over those indices: a scan records membership only.  The
+lexicographically first producer of a value, which counterexample reports
+name, is found by `ResidueSet.first_producers`, which scans the grid again
+for just the values asked about.
 
 Cubes and the right-hand side 3(z^3 + 2) are scanned over the box
 z in [0, 3^(k-1))^2 when k >= 2: (z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the
@@ -38,10 +35,11 @@ __all__ = [
     "rhs_values",
 ]
 
-# The one bound on k.  A scan allocates 9^k int64 slots: 344 MB at k = 8,
-# 3.1 GB at k = 9.  Intermediates stay below 2 * 9^k, far inside int64.
+# The one bound on k.  A scan holds a bool per ring element and the int64 member
+# indices (`verify no-solution --k 8` peaks at 260 MB); intermediates < 2 * 9^k fit int64.
 MAX_VERIFY_K = 8
 _CHUNK_CELLS = 1 << 20
+ValueFn = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -66,33 +64,43 @@ class ResidueRing:
 class ResidueSet:
     """An exhaustively computed subset of Z[w]/(3^k), as a dense bitset.
 
-    `values` holds the member indices (a*m + b) in increasing order and
-    `producers` the smallest producer index that hit each value, where a
-    producer index encodes the scan input (x*m + y for the form image,
-    a*m + b of z for the cube and right-hand-side scans).
+    `values` holds the member indices (a*m + b) in increasing order.  The set
+    keeps its scan, value_fn over [0, side)^2, for `first_producers`; a
+    producer index encodes the scan input (x*m + y for the form image, a*m + b
+    of z for the cube and right-hand-side scans).
     """
 
-    __slots__ = ("name", "ring", "values", "producers", "bitset")
+    __slots__ = ("name", "ring", "value_fn", "side", "bitset", "values")
 
-    def __init__(self, name: str, ring: ResidueRing, values: np.ndarray,
-                 producers: np.ndarray) -> None:
+    def __init__(self, name: str, ring: ResidueRing, value_fn: ValueFn, side: int,
+                 bitset: np.ndarray) -> None:
         self.name = name
         self.ring = ring
-        self.values = values
-        self.producers = producers
-        bitset = np.zeros(ring.size, dtype=bool)
-        bitset[values] = True
+        self.value_fn = value_fn
+        self.side = side
         self.bitset = bitset
+        self.values = np.flatnonzero(bitset)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def producer_of(self, value_index: int) -> int:
-        """Smallest producer index for a member value (lex-first witness)."""
-        pos = int(np.searchsorted(self.values, value_index))
-        if pos >= len(self.values) or self.values[pos] != value_index:
-            raise KeyError(f"value index {value_index} not in set {self.name}")
-        return int(self.producers[pos])
+    def first_producers(self, targets: np.ndarray) -> np.ndarray:
+        """Smallest producer index of each member in the sorted int64 `targets`.
+
+        Scans the grid once more, unless `targets` is empty; a target that is
+        not a member raises KeyError.
+        """
+        if targets.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if not self.bitset[targets].all():
+            raise KeyError(f"not in set {self.name}: {targets[~self.bitset[targets]]}")
+        m = self.ring.modulus
+        first_producer = np.full(targets.size, self.ring.size, dtype=np.int64)
+        for first, second, values in _grid(m, self.value_fn, self.side):
+            pos = np.minimum(np.searchsorted(targets, values), targets.size - 1)
+            hit = targets[pos] == values
+            np.minimum.at(first_producer, pos[hit], (first * m + second).ravel()[hit])
+        return first_producer
 
     def write_csv(self, path: str) -> None:
         """Rows "a,b" in enumeration order, after a "# ring=3^k set=..." header."""
@@ -103,25 +111,22 @@ class ResidueSet:
                 fh.write(f"{int(v) // m},{int(v) % m}\n")
 
 
-def _scan_grid(ring: ResidueRing,
-               value_fn: Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]],
-               side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate value_fn over the (first, second) grid [0, side)^2.
-
-    Returns the distinct value indices and, per value, the smallest producer
-    index first*m + second that reached it.
-    """
-    m = ring.modulus
-    unseen = ring.size
-    first_producer = np.full(unseen, unseen, dtype=np.int64)
+def _grid(m: int, value_fn: ValueFn, side: int):
+    """Yield (first column, second row, flat value indices) per chunk of [0, side)^2."""
     rows = max(1, _CHUNK_CELLS // side)
     second = np.arange(side, dtype=np.int64)[np.newaxis, :]
     for lo in range(0, side, rows):
         first = np.arange(lo, min(lo + rows, side), dtype=np.int64)[:, np.newaxis]
         va, vb = value_fn(first, second, m)
-        np.minimum.at(first_producer, (va * m + vb).ravel(), (first * m + second).ravel())
-    values = np.flatnonzero(first_producer < unseen)
-    return values, first_producer[values]
+        yield first, second, (va * m + vb).ravel()
+
+
+def _scan(name: str, ring: ResidueRing, value_fn: ValueFn, side: int) -> ResidueSet:
+    """The set of values value_fn takes over the grid [0, side)^2."""
+    bitset = np.zeros(ring.size, dtype=bool)
+    for _, _, values in _grid(ring.modulus, value_fn, side):
+        bitset[values] = True
+    return ResidueSet(name, ring, value_fn, side, bitset)
 
 
 def _box_side(ring: ResidueRing) -> int:
@@ -151,20 +156,17 @@ def _rhs_coords(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.nd
 def descent_form_image(ring: ResidueRing) -> ResidueSet:
     """{(x + w y)^2 (x + w^2 y) mod 3^k : x, y rational-integer residues}.
 
-    x and y range over Z/(3^k) only, not the full ring; producer indices
-    encode the lex-first (x, y) as x*m + y.
+    x and y range over Z/(3^k) only, not the full ring; a producer index
+    encodes (x, y) as x*m + y.
     """
-    values, producers = _scan_grid(ring, _form_values, ring.modulus)
-    return ResidueSet("form-image", ring, values, producers)
+    return _scan("form-image", ring, _form_values, ring.modulus)
 
 
 def cube_values(ring: ResidueRing) -> ResidueSet:
-    """{z^3 : z over the full ring}; producers encode the lex-first z."""
-    values, producers = _scan_grid(ring, _cube_coords, _box_side(ring))
-    return ResidueSet("cubes", ring, values, producers)
+    """{z^3 : z over the full ring}; a producer index encodes z."""
+    return _scan("cubes", ring, _cube_coords, _box_side(ring))
 
 
 def rhs_values(ring: ResidueRing) -> ResidueSet:
-    """{3(z^3 + 2) : z over the full ring}; producers encode the lex-first z."""
-    values, producers = _scan_grid(ring, _rhs_coords, _box_side(ring))
-    return ResidueSet("rhs", ring, values, producers)
+    """{3(z^3 + 2) : z over the full ring}; a producer index encodes z."""
+    return _scan("rhs", ring, _rhs_coords, _box_side(ring))

@@ -120,16 +120,16 @@ def _closure_failures(cubes: ResidueSet, image: ResidueSet) -> list[tuple[int, i
     m = image.ring.modulus
     sa = image.values // m
     sb = image.values % m
+    xy = image.first_producers(image.values)
     failures = []
-    for u, zp in zip(cubes.values.tolist(), cubes.producers.tolist()):
+    for u, zp in zip(cubes.values.tolist(), cubes.first_producers(cubes.values).tolist()):
         ua, ub = divmod(u, m)
         wa = (ua * sa - ub * sb) % m
         wb = (ua * sb + ub * sa - ub * sb) % m
         bad = ~image.bitset[wa * m + wb]
         if bad.any():
             ca, cb = divmod(zp, m)
-            for p in image.producers[bad].tolist():
-                failures.append((ca, cb, p // m, p % m))
+            failures.extend((ca, cb, p // m, p % m) for p in xy[bad].tolist())
     failures.sort()
     return failures
 
@@ -147,13 +147,11 @@ def verify_no_solution(k: int) -> VerificationReport:
     image = descent_form_image(ring)
     rhs = rhs_values(ring)
 
-    common = np.nonzero(image.bitset & rhs.bitset)[0]
-    failures = []
-    for v in common.tolist():
-        p = image.producer_of(v)
-        zp = rhs.producer_of(v)
-        failures.append((p // m, p % m, zp // m, zp % m))
-    failures.sort()
+    common = np.flatnonzero(image.bitset & rhs.bitset)
+    failures = sorted(
+        (p // m, p % m, zp // m, zp % m)
+        for p, zp in zip(image.first_producers(common).tolist(),
+                         rhs.first_producers(common).tolist()))
     counterexamples = tuple(
         {"x": x, "y": y, "z": [za, zb]}
         for x, y, za, zb in failures[:COUNTEREXAMPLE_CAP]

@@ -52,6 +52,26 @@ class TestVerifyCommand:
         assert "error" in err
 
 
+_PEAK_RSS_SCRIPT = """
+import resource, sys
+from eisdescent.cli import main
+code = main(["verify", "no-solution", "--k", "8"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_verify_k8_peak_rss_under_400_mb():
+    # The scans keep a bitset per set, not a 9^k int64 producer array
+    # (which alone took 344 MB at k = 8).
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["holds"] is True
+    assert int(proc.stderr.split()[-1]) / 1024 < 400
+
+
 class TestMinimalModulusCommand:
     def test_found(self, capsys):
         code, doc, _ = run_json(capsys, "minimal-modulus", "--max-k", "4")

@@ -1,9 +1,10 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
-from eisdescent import ResidueRing, cube_values, descent_form_image, rhs_values
+from eisdescent import ResidueRing, cube_values, descent_form_image, residues, rhs_values
 from eisdescent.residues import MAX_VERIFY_K
 
 # Pinned from the first verified run: |{form values mod 81}| (a regression
@@ -114,11 +115,31 @@ class TestImageSets:
                         first.setdefault(va * m + vb, a * m + b)
                 image = build(ring)
                 assert image.values.tolist() == sorted(first), (name, k)
-                assert image.producers.tolist() == [first[v] for v in sorted(first)], (name, k)
+                producers = image.first_producers(image.values).tolist()
+                assert producers == [first[v] for v in sorted(first)], (name, k)
                 if name != "form" and k >= 2:
                     box = m // 3
-                    assert all(p // m < box and p % m < box
-                               for p in image.producers.tolist()), (name, k)
+                    assert all(p // m < box and p % m < box for p in producers), (name, k)
+
+    def test_first_producers_reject_non_members(self):
+        image = cube_values(ResidueRing(2))
+        outside = int(np.flatnonzero(~image.bitset)[0])
+        with pytest.raises(KeyError):
+            image.first_producers(np.array([outside]))
+        with pytest.raises(KeyError):
+            image.first_producers(np.sort(np.append(image.values[:3], outside)))
+
+    def test_first_producers_of_no_targets_do_not_scan(self, monkeypatch):
+        image = descent_form_image(ResidueRing(3))
+
+        def no_scan(*args):
+            raise AssertionError("grid scanned")
+
+        monkeypatch.setattr(residues, "_grid", no_scan)
+        empty = image.first_producers(np.empty(0, dtype=np.int64))
+        assert empty.size == 0 and empty.dtype == np.int64
+        with pytest.raises(AssertionError, match="grid scanned"):
+            image.first_producers(image.values[:1])
 
     def test_scan_above_limit_raises_before_allocating(self):
         start = time.perf_counter()

@@ -79,6 +79,34 @@ def naive_no_solution(k):
     return True
 
 
+def naive_no_solution_counterexamples(k):
+    """Sorted (x, y, za, zb): per common value, the lex-first (x, y) of the
+    full 3^k x 3^k grid and the lex-first z of the full ring."""
+    m = 3**k
+    image, rhs = {}, {}
+    for x in range(m):
+        for y in range(m):
+            image.setdefault(_form(x, y, m), (x, y))
+    for za in range(m):
+        for zb in range(m):
+            z3 = _cube((za, zb), m)
+            rhs.setdefault(((3 * z3[0] + 6) % m, (3 * z3[1]) % m), (za, zb))
+    return sorted(image[v] + rhs[v] for v in image.keys() & rhs.keys())
+
+
+# A form image mod 27 with the cube (2w)^3 = 8, lex-first root (0, 2), left out.
+_CUBE_8 = _cube((0, 2), 27)
+
+
+def _image_without_cube_8(ring):
+    image = descent_form_image(ring)
+    bitset = image.bitset.copy()
+    index = _CUBE_8[0] * ring.modulus + _CUBE_8[1]
+    assert ring.k == 3 and bitset[index]
+    bitset[index] = False
+    return ResidueSet(image.name, ring, image.value_fn, image.side, bitset)
+
+
 class TestAgainstNaiveOracle:
     def test_cube_closure_k1(self):
         naive = naive_cube_closure(1)
@@ -140,6 +168,14 @@ class TestNoSolution:
                 assert _form(c["x"], c["y"], m) == \
                     ((3 * z3[0] + 6) % m, (3 * z3[1]) % m)
 
+    def test_counterexamples_match_lex_first_brute_force(self):
+        for k in (1, 2, 3):
+            expected = naive_no_solution_counterexamples(k)
+            report = verify_no_solution(k)
+            assert report.counterexample_count == len(expected), k
+            assert report.counterexamples == tuple(
+                {"x": x, "y": y, "z": [za, zb]} for x, y, za, zb in expected), k
+
     def test_counterexamples_project_downward(self):
         # a solution mod 3^k yields one mod 3^j for j < k by reduction
         for k in (2,):
@@ -182,25 +218,28 @@ class TestCubeClosure:
 
     def test_fallback_lists_products_outside_a_doctored_image(self, monkeypatch):
         k, m = 3, 27
-        dropped = _cube((0, 2), m)  # (2w)^3 = 8, with lex-first root (0, 2)
-        index = dropped[0] * m + dropped[1]
-
-        def image_without_dropped_cube(ring):
-            image = descent_form_image(ring)
-            keep = image.values != index
-            assert not keep.all()
-            return ResidueSet(image.name, ring, image.values[keep], image.producers[keep])
-
-        monkeypatch.setattr(verify_module, "descent_form_image", image_without_dropped_cube)
+        monkeypatch.setattr(verify_module, "descent_form_image", _image_without_cube_8)
         report = verify_cube_closure(k)
         assert not report.holds
         # 8 * form(1, 0) = 8 * 1 left the doctored image
         assert {"c": [0, 2], "x": 1, "y": 0} in report.counterexamples
 
         cubes = {_cube((a, b), m) for a in range(m) for b in range(m)}
-        image = {_form(x, y, m) for x in range(m) for y in range(m)} - {dropped}
+        image = {_form(x, y, m) for x in range(m) for y in range(m)} - {_CUBE_8}
         naive_count = sum(_mul(u, s, m) not in image for u in cubes for s in image)
         assert report.counterexample_count == naive_count
+
+    def test_cap_keeps_the_first_of_the_sorted_list(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "descent_form_image", _image_without_cube_8)
+        full = verify_cube_closure(3)
+        keys = [(c["c"][0], c["c"][1], c["x"], c["y"]) for c in full.counterexamples]
+        assert keys == sorted(keys)
+        assert full.counterexample_count == len(full.counterexamples) == 17
+
+        monkeypatch.setattr(verify_module, "COUNTEREXAMPLE_CAP", 5)
+        capped = verify_cube_closure(3)
+        assert capped.counterexamples == full.counterexamples[:5]
+        assert capped.counterexample_count == 17
 
     def test_cubes_are_form_values_identity(self):
         # c^3 = phi((-pi)^j e^2 conj(e)^-1) for c = pi^j e, e a unit; with
