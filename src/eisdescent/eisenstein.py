@@ -15,6 +15,7 @@ is safe to share between threads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .intfactor import exact_cbrt, factor_int
@@ -332,15 +333,8 @@ class EisensteinRational:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        result = EisensteinRational(EisensteinInt(1, 0), 1)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self.inverse() ** -n
+        return EisensteinRational(self._num**n, self._den**n)
 
     def conj(self) -> EisensteinRational:
         return EisensteinRational(self._num.conj(), self._den)
@@ -357,13 +351,6 @@ def _as_rational_element(x) -> EisensteinRational | None:
     if isinstance(x, Fraction):
         return EisensteinRational(EisensteinInt(x.numerator, 0), x.denominator)
     return None
-
-
-def _exact_div(alpha: EisensteinInt, beta: EisensteinInt) -> EisensteinInt:
-    q, r = divmod(alpha, beta)
-    if r:
-        raise ValueError(f"{beta} does not divide {alpha}")
-    return q
 
 
 def canonical_associate(alpha: EisensteinInt) -> EisensteinInt:
@@ -404,13 +391,18 @@ def pi_valuation(alpha: EisensteinInt) -> tuple[int, EisensteinInt]:
     alpha = _as_int_element(alpha)
     if not alpha:
         raise ValueError("pi-adic valuation of zero is undefined")
-    v = 0
+    return _strip(alpha, PI)
+
+
+def _strip(alpha: EisensteinInt, prime: EisensteinInt) -> tuple[int, EisensteinInt]:
+    """(e, cofactor) with alpha = prime^e * cofactor and prime not dividing cofactor."""
+    e = 0
     while True:
-        q, r = divmod(alpha, PI)
+        q, r = divmod(alpha, prime)
         if r:
-            return v, alpha
+            return e, alpha
         alpha = q
-        v += 1
+        e += 1
 
 
 def _split_prime(p: int) -> EisensteinInt:
@@ -431,93 +423,67 @@ def _split_prime(p: int) -> EisensteinInt:
     raise ValueError(f"{p} is not a split prime")
 
 
+@dataclass(frozen=True)
 class Factorization:
-    """Unit times a product of canonical prime powers, reproducing the input.
+    """unit * prod(prime^e for prime, e in factors), as `factor` returns it.
 
     Each prime is in canonical-associate form and either has prime integer
-    norm or is an inert rational prime p = 2 (mod 3) of norm p^2.  Factors
-    are distinct and sorted by (norm, a, b).
+    norm or is an inert rational prime p = 2 (mod 3) of norm p^2; `factor`
+    gives distinct factors sorted by (norm, a, b).  Construction raises
+    ValueError when `unit` is not one of the six units of Z[w]: this is
+    `factor`'s final check, the one that catches a prime `factor_int` missed.
     """
 
-    __slots__ = ("_unit", "_factors")
+    unit: EisensteinInt
+    factors: tuple[tuple[EisensteinInt, int], ...]
 
-    def __init__(self, unit: EisensteinInt, factors) -> None:
-        if unit not in UNITS:
-            raise ValueError(f"{unit} is not a unit of Z[w]")
-        self._unit = unit
-        self._factors = tuple(factors)
-
-    @property
-    def unit(self) -> EisensteinInt:
-        return self._unit
-
-    @property
-    def factors(self) -> tuple[tuple[EisensteinInt, int], ...]:
-        return self._factors
+    def __post_init__(self) -> None:
+        if self.unit not in UNITS:
+            raise ValueError(f"{self.unit} is not a unit of Z[w]")
+        object.__setattr__(self, "factors", tuple(self.factors))
 
     def value(self) -> EisensteinInt:
-        out = self._unit
-        for prime, exp in self._factors:
+        out = self.unit
+        for prime, exp in self.factors:
             out = out * prime**exp
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Factorization):
-            return NotImplemented
-        return self._unit == other._unit and self._factors == other._factors
-
-    def __repr__(self) -> str:
-        return f"Factorization({self._unit!r}, {self._factors!r})"
-
     def __str__(self) -> str:
-        parts = [f"({p})^{e}" if e > 1 else f"({p})" for p, e in self._factors]
-        head = str(self._unit)
+        parts = [f"({p})^{e}" if e > 1 else f"({p})" for p, e in self.factors]
+        head = str(self.unit)
         return " * ".join([head] + parts) if parts else head
 
 
 def factor(alpha: EisensteinInt) -> Factorization:
     """Canonical prime factorization of a nonzero alpha in Z[w].
 
-    Factors N(alpha) over Z, then lifts each rational prime: 3 contributes
-    pi, p = 2 (mod 3) stays inert, and p = 1 (mod 3) splits into a canonical
-    prime of norm p and its conjugate, with exponents read off by exact
-    division.
+    One loop over the primes above each rational p dividing N(alpha), as
+    `factor_int` reports them: pi for p = 3, p itself for an inert
+    p = 2 (mod 3), and for a split p = 1 (mod 3) a canonical prime of norm p
+    and the canonical associate of its conjugate.  Each prime is divided out
+    of alpha until it no longer divides, so exponents are read from alpha
+    itself, not from N(alpha).  What is left must be a unit: if `factor_int`
+    missed a prime, the `Factorization` built from the leftover raises
+    ValueError.
     """
     alpha = _as_int_element(alpha)
     if not alpha:
         raise ValueError("cannot factor zero")
-    remaining = alpha
     entries: list[tuple[EisensteinInt, int]] = []
-    for p, e in sorted(factor_int(alpha.norm()).items()):
+    for p in factor_int(alpha.norm()):
         if p == 3:
-            for _ in range(e):
-                remaining = _exact_div(remaining, PI)
-            entries.append((PI, e))
+            primes = (PI,)
         elif p % 3 == 2:
-            if e % 2:
-                raise AssertionError(f"odd exponent for inert prime {p}")
-            inert = EisensteinInt(p, 0)
-            for _ in range(e // 2):
-                remaining = _exact_div(remaining, inert)
-            entries.append((inert, e // 2))
+            primes = (EisensteinInt(p),)
         else:
             prime = _split_prime(p)
-            e1 = 0
-            while True:
-                q, r = divmod(remaining, prime)
-                if r:
-                    break
-                remaining = q
-                e1 += 1
-            conj_prime = canonical_associate(prime.conj())
-            for _ in range(e - e1):
-                remaining = _exact_div(remaining, conj_prime)
-            if e1:
-                entries.append((prime, e1))
-            if e - e1:
-                entries.append((conj_prime, e - e1))
+            primes = (prime, canonical_associate(prime.conj()))
+        for prime in primes:
+            e, alpha = _strip(alpha, prime)
+            if e:
+                entries.append((prime, e))
     entries.sort(key=lambda pe: (pe[0].norm(), pe[0].a, pe[0].b))
-    return Factorization(remaining, entries)
+    return Factorization(alpha, entries)
 
 
 def _cube_root(a: int, b: int, n: int) -> tuple[int, int] | None:

@@ -39,6 +39,7 @@ __all__ = [
 # indices (`verify no-solution --k 8` peaks at 260 MB); intermediates < 2 * 9^k fit int64.
 MAX_VERIFY_K = 8
 _CHUNK_CELLS = 1 << 20
+_CSV_ROWS = 1 << 10  # rows per formatted write; larger chunks hold more ints, no faster
 ValueFn = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
@@ -107,8 +108,10 @@ class ResidueSet:
         m = self.ring.modulus
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"# ring=3^{self.ring.k} set={self.name}\n")
-            for v in self.values:
-                fh.write(f"{int(v) // m},{int(v) % m}\n")
+            for lo in range(0, self.values.size, _CSV_ROWS):
+                v = self.values[lo:lo + _CSV_ROWS]
+                rows = np.column_stack((v // m, v % m)).ravel().tolist()
+                fh.write("%d,%d\n" * v.size % tuple(rows))
 
 
 def _grid(m: int, value_fn: ValueFn, side: int):

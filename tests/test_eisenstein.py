@@ -18,6 +18,7 @@ from eisdescent import (
     is_cube,
     pi_valuation,
 )
+from eisdescent import eisenstein
 from eisdescent.eisenstein import _cube_root
 from eisdescent.intfactor import exact_cbrt
 
@@ -282,6 +283,25 @@ class TestFactor:
         prime, e = f.factors[0]
         assert e == 1 and prime.norm() == n
 
+    def test_exponents_are_read_from_alpha(self, monkeypatch):
+        rng = random.Random(13)
+        inputs = [EisensteinInt(6, 3), EisensteinInt(10, 0), EisensteinInt(7, 0)]
+        inputs += [rand_int_element(rng, 10**4) * 9 * 7 for _ in range(30)]
+        cases = [(x, factor(x), eisenstein.factor_int(x.norm())) for x in inputs]
+        for x, expected, counts in cases:
+            for p in counts:
+                # an over-reported exponent (odd for an inert p): exponents
+                # still come from alpha, so the result does not change
+                over = dict(counts)
+                over[p] += 1
+                monkeypatch.setattr(eisenstein, "factor_int", lambda n, c=over: dict(c))
+                assert factor(x) == expected
+                # a dropped prime leaves a non-unit behind
+                dropped = {q: e for q, e in counts.items() if q != p}
+                monkeypatch.setattr(eisenstein, "factor_int", lambda n, c=dropped: dict(c))
+                with pytest.raises(ValueError, match="is not a unit"):
+                    factor(x)
+
     def test_split_prime_rejects_non_split_input(self):
         from eisdescent.eisenstein import _split_prime
 
@@ -452,3 +472,19 @@ class TestEisensteinRational:
         x = EisensteinRational(PI, 2)
         assert x**3 * x**-3 == 1
         assert x**0 == 1
+        rng = random.Random(14)
+        checked = 0
+        while checked < 200:
+            x = rand_rational_element(rng)
+            if x.den == 1 or not x:
+                continue
+            checked += 1
+            for n in range(-4, 7):
+                expected = EisensteinRational(1)
+                for _ in range(abs(n)):
+                    expected = expected * x
+                if n < 0:
+                    expected = expected.inverse()
+                assert x**n == expected, (x, n)
+        with pytest.raises(ZeroDivisionError):
+            EisensteinRational(0) ** -1

@@ -158,3 +158,10 @@ def test_csv_dump(tmp_path):
     rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
     assert rows == sorted(rows)
     assert set(rows) == members(cubes)
+    # one partial chunk (7 rows), and several chunks ending in a partial one
+    assert 7 < residues._CSV_ROWS < 122_641 // 2 and 122_641 % residues._CSV_ROWS
+    for image in (descent_form_image(ring), descent_form_image(ResidueRing(6))):
+        image.write_csv(str(path))
+        m = image.ring.modulus
+        plain = "".join(f"{v // m},{v % m}\n" for v in image.values.tolist())
+        assert path.read_text() == f"# ring=3^{image.ring.k} set=form-image\n" + plain
