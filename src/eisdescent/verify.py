@@ -1,7 +1,8 @@
 """Exhaustive verification of two residue-ring facts behind the no-descent result.
 
-Both checks live in Z[w]/(3^k) and reduce, after precomputing exhaustive
-image sets, to set algebra over dense bitsets:
+Both checks live in Z[w]/(3^k) and reduce to membership tests in the form
+image, decided in closed form by `residues.in_form_image` with no scan of
+the 9^k grid:
 
   * cube-closure: every product of a cube with a value of the descent form
     (over rational-integer residues x, y) is again such a value;
@@ -16,11 +17,13 @@ image * cubes is inside image * image = image, and conversely c^3 = c^3 phi(1).
 Every cube does lie in it, at every k: writing c = pi^j e with e a unit,
 c^3 = phi((-pi)^j e^2 conj(e)^-1).  The check confirms it for k = 1..8.
 
-The no-solution check fails for k = 1, 2 and holds from k = 3 (modulus 27)
-on, hence also at modulus 81, the modulus at which both checks are certified
-for the cover t^3 = 3(z^3 + 2); the minimal-modulus scan finds k = 3.
-Reports are deterministic: counterexample lists are sorted and capped at a
-fixed size.
+No-solution tests each value of the right-hand side, scanned over a box of
+z, for membership in the image.  The form-image scan runs only when some
+value lies in it, to name the lexicographically first (x, y) producing it.
+The check fails for k = 1, 2 and holds from k = 3 (modulus 27) on, hence
+also at modulus 81, the modulus at which both checks are certified for the
+cover t^3 = 3(z^3 + 2); the minimal-modulus scan finds k = 3.  Reports are
+deterministic: counterexample lists are sorted and capped at a fixed size.
 """
 
 from __future__ import annotations
@@ -28,10 +31,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .reports import fingerprint, make_document
-from .residues import ResidueRing, ResidueSet, cube_values, descent_form_image, rhs_values
+from .residues import (
+    ResidueRing,
+    ResidueSet,
+    cube_values,
+    descent_form_image,
+    form_image_size,
+    in_form_image,
+    rhs_values,
+)
 
 __all__ = [
     "VerificationReport",
@@ -86,20 +95,21 @@ def verify_cube_closure(k: int) -> VerificationReport:
     For every cube value u and every form value s, u*s must land back in the
     form image.  Since the image is a multiplicative monoid containing 1
     (module docstring), that holds exactly when every cube is in the image,
-    one bitset lookup per cube.  Only if that test fails are the products
-    formed, to list counterexamples: the lex-first cube root c of u and the
-    lex-first (x, y) producing s.
+    one closed-form membership test per cube.  Only if that test fails is
+    the form image scanned and are the products formed, to list
+    counterexamples: the lex-first cube root c of u and the lex-first (x, y)
+    producing s.
     """
     start = time.perf_counter()
     ring = ResidueRing(k)
     cubes = cube_values(ring)
-    image = descent_form_image(ring)
-    failures = [] if image.bitset[cubes.values].all() else _closure_failures(cubes, image)
+    failures = ([] if in_form_image(ring, cubes.values).all()
+                else _closure_failures(cubes, descent_form_image(ring)))
     counterexamples = tuple(
         {"c": [ca, cb], "x": x, "y": y}
         for ca, cb, x, y in failures[:COUNTEREXAMPLE_CAP]
     )
-    sizes = {"cubes": len(cubes), "form_image": len(image), "ring": ring.size}
+    sizes = {"cubes": len(cubes), "form_image": form_image_size(ring), "ring": ring.size}
     return VerificationReport(
         lemma="cube-closure",
         k=k,
@@ -144,19 +154,20 @@ def verify_no_solution(k: int) -> VerificationReport:
     start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
-    image = descent_form_image(ring)
     rhs = rhs_values(ring)
 
-    common = np.flatnonzero(image.bitset & rhs.bitset)
-    failures = sorted(
-        (p // m, p % m, zp // m, zp % m)
-        for p, zp in zip(image.first_producers(common).tolist(),
-                         rhs.first_producers(common).tolist()))
+    common = rhs.values[in_form_image(ring, rhs.values)]
+    failures = []
+    if common.size:
+        failures = sorted(
+            (p // m, p % m, zp // m, zp % m)
+            for p, zp in zip(descent_form_image(ring).first_producers(common).tolist(),
+                             rhs.first_producers(common).tolist()))
     counterexamples = tuple(
         {"x": x, "y": y, "z": [za, zb]}
         for x, y, za, zb in failures[:COUNTEREXAMPLE_CAP]
     )
-    sizes = {"form_image": len(image), "rhs": len(rhs), "ring": ring.size}
+    sizes = {"form_image": form_image_size(ring), "rhs": len(rhs), "ring": ring.size}
     return VerificationReport(
         lemma="no-solution",
         k=k,

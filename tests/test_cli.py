@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 from eisdescent import EisensteinInt, descent_form, eisenstein, intfactor
 from eisdescent.cli import main
+
+search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
 
 
 def run_cli(capsys, *argv):
@@ -62,14 +65,15 @@ sys.exit(code)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
-def test_verify_k8_peak_rss_under_400_mb():
-    # The scans keep a bitset per set, not a 9^k int64 producer array
-    # (which alone took 344 MB at k = 8).
+def test_verify_k8_peak_rss_under_150_mb():
+    # No 9^k scan of the form image: membership is decided in closed form, and
+    # the right-hand side is scanned over a 3^6 box into one 43 MB bitset
+    # (about 94 MB for the process; the form-image scan peaked at 260 MB).
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["holds"] is True
-    assert int(proc.stderr.split()[-1]) / 1024 < 400
+    assert int(proc.stderr.split()[-1]) / 1024 < 150
 
 
 class TestMinimalModulusCommand:
@@ -239,6 +243,23 @@ class TestSearchCommand:
         with pytest.raises(SystemExit):
             main(["search", "--help"])
         assert "--coeffs=-1,0,1" in capsys.readouterr().out
+
+
+    def test_height_above_point_bound_exits_2_before_walking(self, capsys, monkeypatch):
+        height = 500  # (2H + 1) H + 1 = 500,501 > MAX_SEARCH_POINTS
+        assert (2 * height + 1) * height + 1 > search_module.MAX_SEARCH_POINTS \
+            >= (2 * height - 1) * (height - 1) + 1
+
+        def no_walk(*args):
+            raise AssertionError("points walked")
+
+        monkeypatch.setattr(search_module, "_classify_points", no_walk)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "search", "--coeffs", "0,0,0,w",
+                               "--height", str(height))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert "MAX_SEARCH_POINTS = 500000" in err and "500501" in err
 
 
 class TestDumpSetCommand:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eisdescent import ResidueRing, cube_values, descent_form_image, residues, rhs_values
-from eisdescent.residues import MAX_VERIFY_K
+from eisdescent.residues import MAX_VERIFY_K, form_image_size, in_form_image
 
 # Pinned from the first verified run: |{form values mod 81}| (a regression
 # constant of this build, not an externally given number).
@@ -146,6 +146,38 @@ class TestImageSets:
         with pytest.raises(ValueError):
             ResidueRing(MAX_VERIFY_K + 1)
         assert time.perf_counter() - start < 0.5
+
+
+class TestClosedFormImage:
+    """`in_form_image` and `form_image_size` against the form-image scan."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_predicate_equals_scan_on_every_element(self, k):
+        ring = ResidueRing(k)
+        image = descent_form_image(ring)
+        every = np.arange(ring.size, dtype=np.int64)
+        assert np.array_equal(in_form_image(ring, every), image.bitset)
+        assert form_image_size(ring) == len(image)
+
+    def test_k7_size_and_members(self):
+        ring = ResidueRing(7)
+        image = descent_form_image(ring)
+        assert form_image_size(ring) == len(image) == 1_103_767
+        assert in_form_image(ring, image.values).all()
+
+    def test_sizes_up_to_k8(self):
+        sizes = [form_image_size(ResidueRing(k)) for k in range(1, 9)]
+        assert sizes == [7, 21, 169, 1519, 13629, 122641, 1103767, 9933861]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_rhs_box_scan_equals_full_ring_scan(k):
+    ring = ResidueRing(k)
+    box = rhs_values(ring)
+    full = residues._scan("rhs", ring, residues._rhs_coords, ring.modulus)
+    assert box.side == {1: 1, 2: 3}.get(k, 3 ** (k - 2))
+    assert np.array_equal(box.bitset, full.bitset)
+    assert np.array_equal(box.first_producers(box.values), full.first_producers(full.values))
 
 
 def test_csv_dump(tmp_path):

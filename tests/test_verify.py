@@ -18,7 +18,7 @@ from eisdescent import (
 )
 from eisdescent import verify as verify_module
 from eisdescent.cli import main
-from eisdescent.reports import dumps_document
+from eisdescent.reports import dumps_document, fingerprint
 
 # Pinned from the first verified run (regression constants of this build).
 FORM_IMAGE_SIZE_K4 = 1519
@@ -105,6 +105,13 @@ def _image_without_cube_8(ring):
     assert ring.k == 3 and bitset[index]
     bitset[index] = False
     return ResidueSet(image.name, ring, image.value_fn, image.side, bitset)
+
+
+def _doctor_image(monkeypatch):
+    """Make verify see that doctored image, in its scan and in its membership test."""
+    monkeypatch.setattr(verify_module, "descent_form_image", _image_without_cube_8)
+    monkeypatch.setattr(verify_module, "in_form_image",
+                        lambda ring, values: _image_without_cube_8(ring).bitset[values])
 
 
 class TestAgainstNaiveOracle:
@@ -218,7 +225,7 @@ class TestCubeClosure:
 
     def test_fallback_lists_products_outside_a_doctored_image(self, monkeypatch):
         k, m = 3, 27
-        monkeypatch.setattr(verify_module, "descent_form_image", _image_without_cube_8)
+        _doctor_image(monkeypatch)
         report = verify_cube_closure(k)
         assert not report.holds
         # 8 * form(1, 0) = 8 * 1 left the doctored image
@@ -230,7 +237,7 @@ class TestCubeClosure:
         assert report.counterexample_count == naive_count
 
     def test_cap_keeps_the_first_of_the_sorted_list(self, monkeypatch):
-        monkeypatch.setattr(verify_module, "descent_form_image", _image_without_cube_8)
+        _doctor_image(monkeypatch)
         full = verify_cube_closure(3)
         keys = [(c["c"][0], c["c"][1], c["x"], c["y"]) for c in full.counterexamples]
         assert keys == sorted(keys)
@@ -295,6 +302,43 @@ class TestMinimalModulus:
 
     def test_none_below_threshold(self):
         assert minimal_modulus(2) is None
+
+
+def _report(lemma, k, counterexamples, sizes):
+    return {"counterexample_count": len(counterexamples),
+            "counterexamples": counterexamples, "holds": not counterexamples,
+            "k": k, "lemma": lemma, "set_sizes": sizes}
+
+
+# The `report` sections of the exhaustive scans, k = 1..4, as pinned before
+# membership in the form image was decided in closed form.
+EXPECTED_REPORTS = {
+    ("no-solution", 1): _report("no-solution", 1, [{"x": 0, "y": 0, "z": [0, 0]}],
+                                {"form_image": 7, "rhs": 1, "ring": 9}),
+    ("no-solution", 2): _report("no-solution", 2, [{"x": 0, "y": 0, "z": [0, 1]}],
+                                {"form_image": 21, "rhs": 3, "ring": 81}),
+    ("no-solution", 3): _report("no-solution", 3, [],
+                                {"form_image": 169, "rhs": 5, "ring": 729}),
+    ("no-solution", 4): _report("no-solution", 4, [],
+                                {"form_image": 1519, "rhs": 21, "ring": 6561}),
+    ("cube-closure", 1): _report("cube-closure", 1, [],
+                                 {"cubes": 3, "form_image": 7, "ring": 9}),
+    ("cube-closure", 2): _report("cube-closure", 2, [],
+                                 {"cubes": 5, "form_image": 21, "ring": 81}),
+    ("cube-closure", 3): _report("cube-closure", 3, [],
+                                 {"cubes": 21, "form_image": 169, "ring": 729}),
+    ("cube-closure", 4): _report("cube-closure", 4, [],
+                                 {"cubes": 171, "form_image": 1519, "ring": 6561}),
+}
+
+
+@pytest.mark.parametrize("lemma,k", sorted(EXPECTED_REPORTS))
+def test_report_equals_pinned_document(lemma, k):
+    check = verify_no_solution if lemma == "no-solution" else verify_cube_closure
+    doc = check(k).to_document()
+    doc.pop("elapsed_s")
+    assert doc == {"report": EXPECTED_REPORTS[lemma, k],
+                   "fingerprint": fingerprint({"lemma": lemma, "k": k})}
 
 
 class TestReportDocuments:
