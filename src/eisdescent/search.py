@@ -17,6 +17,14 @@ and each step is exact:
   of G divided by s.
 * Homogeneous evaluation.  p and q are integers, so G is two integer
   Horner sums, one per coordinate, with no fraction anywhere.
+* Modular prefilter.  An integer cube is a cube residue modulo every m, so
+  a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
+  is NoDescent with no big integer involved.  G mod M, M = 7*9*13*19*37 =
+  575,757, depends only on p and q mod M, so the Horner sums and the norm
+  run in int64 over a block of points in one numpy pass; every product is
+  below 2^40 at any height.  Points come in blocks of whole heights in the
+  order of `enumerate_rationals`, so the survivors reach the exact path in
+  report order.
 * Norm filter.  If G is a cube b^3 or a form value form(x, y), its norm is
   N(b)^3 or N(x + w y)^3, the cube of a rational; N(G) is an integer, so it
   is then a perfect integer cube.  A point whose N(G) is not one is
@@ -39,6 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .descent import (
     INFINITY,
     DescentKind,
@@ -55,36 +65,96 @@ __all__ = ["MAX_SEARCH_POINTS", "SearchReport", "enumerate_rationals", "search"]
 # The one bound on the walk, checked against (2H + 1) * H + 1 >= the number of
 # points of height <= H (p in [-H, H], q in [1, H], plus infinity) before it
 # starts.  The largest height it allows is 499, 303,664 points.  There the CLI
-# took 15.3 s and peaked at 619 MB on t^3 = w z^3, where every finite nonzero
-# point descends and each finding is held until the report is written, and
-# 1.3 s and 33 MB on t^3 = 3(z^3 + 2) (2-core x86 VM, Python 3.11).
+# took 9.5-12.6 s and peaked at 619 MB on t^3 = w z^3, where every finite
+# nonzero point descends and each finding is held until the report is written,
+# and 0.3-0.4 s and 33 MB on t^3 = 3(z^3 + 2), where the modular prefilter
+# rejects all but 1,283 points (2-core x86 VM, Python 3.11, numpy 2.4).
 MAX_SEARCH_POINTS = 500_000
 
 
-def _lowest_terms(height: int) -> Iterator[tuple[int, int]]:
-    """(p, q) with q >= 1 and gcd(p, q) = 1 for every p/q of height <= height.
+# The modular prefilter: a perfect cube is a cube residue modulo each of
+# _MODULI.  Residues mod their product _M = 575,757 stay below 2^20, so every
+# product of two in the int64 Horner sums is below 2^40.  One small table per
+# modulus marks its cube residues.
+_MODULI = (7, 9, 13, 19, 37)
+_M = math.prod(_MODULI)
+_CUBE_RESIDUES = tuple(np.array([any(x ** 3 % m == r for x in range(m)) for r in range(m)])
+                       for m in _MODULI)
+# A block of the enumeration holds whole heights and ends at the first height
+# that brings its candidates p/q (before the gcd test) to this many.
+_BLOCK_POINTS = 4096
 
-    Each value appears exactly once, in nondecreasing height; 0 = 0/1
-    (height 1) comes first.
+
+def _point_blocks(height: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """int64 arrays (p, q), q >= 1, gcd(p, q) = 1, listing every p/q of height
+    <= height once, a block of whole heights at a time.
+
+    The order is nondecreasing height; 0 = 0/1 (height 1) comes first.
+    Within height h come h/q and -h/q for q = 1..h, then p/h and -p/h for
+    p = 1..h-1.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
-    yield 0, 1
-    for h in range(1, height + 1):
-        for q in range(1, h + 1):
-            if math.gcd(h, q) == 1:
-                yield h, q
-                yield -h, q
-        for p in range(1, h):
-            if math.gcd(p, h) == 1:
-                yield p, h
-                yield -p, h
+    lo = 1
+    while lo <= height:
+        hi, size = lo, 0
+        while hi <= height and size < _BLOCK_POINTS:
+            size += 4 * hi - 2
+            hi += 1
+        heights = np.arange(lo, hi, dtype=np.int64)
+        # 2h - 1 magnitudes per height h: h/1 .. h/h, then 1/h .. (h-1)/h
+        runs = 2 * heights - 1
+        h = np.repeat(heights, runs)
+        x = np.arange(1, h.size + 1) - np.repeat(np.cumsum(runs) - runs, runs)
+        first = x <= h
+        num = np.where(first, h, x - h)
+        den = np.where(first, x, h)
+        coprime = np.gcd(num, den) == 1
+        num, den = num[coprime], den[coprime]
+        p, q = np.empty(2 * num.size, dtype=np.int64), np.empty(2 * num.size, dtype=np.int64)
+        p[0::2], p[1::2] = num, -num
+        q[0::2] = q[1::2] = den
+        if lo == 1:
+            p, q = np.concatenate(([0], p)), np.concatenate(([1], q))
+        yield p, q
+        lo = hi
 
 
 def enumerate_rationals(height: int) -> Iterator[Fraction]:
     """All p/q in lowest terms with |p| <= height and 1 <= q <= height, in
     the order `search` visits them: nondecreasing height, 0 first."""
-    return (Fraction(p, q) for p, q in _lowest_terms(height))
+    for p, q in _point_blocks(height):
+        for pair in zip(p.tolist(), q.tolist()):
+            yield Fraction(*pair)
+
+
+def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """False at the points p/q where N(G) is not a cube residue modulo one of
+    _MODULI, so is not a perfect cube.
+
+    `residues` lists D^3 c_i mod _M as coordinate pairs, leading coefficient
+    first; G = sum of D^3 c_i p^i q^(e-i) as in the module docstring.
+    """
+    p, q = p % _M, q % _M
+    qk = np.ones_like(q)
+    for _ in range(e + 1 - len(residues)):  # q^(e-n), n + 1 coefficients
+        qk = qk * q % _M
+    (lead_a, lead_b), lower = residues[0], residues[1:]
+    ga, gb = lead_a * qk % _M, lead_b * qk % _M
+    for ca, cb in lower:
+        qk = qk * q % _M
+        ga = (ga * p + ca * qk) % _M
+        gb = (gb * p + cb * qk) % _M
+    norm = ga * ga - ga * gb + gb * gb  # >= 0, below 2^40
+    mask = np.ones(p.shape, dtype=bool)
+    for m, table in zip(_MODULI, _CUBE_RESIDUES):
+        mask &= table[norm % m]
+    return mask
+
+
+def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b w)(c + d w) with w^2 = -1 - w, as coordinates."""
+    return a * c - b * d, a * d + b * c - b * d
 
 
 @dataclass(frozen=True)
@@ -102,6 +172,7 @@ class SearchReport:
     n_points: int
     descends: tuple[dict, ...]
     infinity: dict
+    counters: dict[str, int]
     elapsed_s: float
 
     @property
@@ -121,57 +192,71 @@ class SearchReport:
             "descends": list(self.descends),
             "infinity": self.infinity,
         }
-        return make_document(report, self.params, self.elapsed_s)
+        return make_document(report, self.params, self.elapsed_s, self.counters)
 
 
-def _classify_points(coeffs, degree: int, height: int) -> tuple[dict[str, int], list[dict]]:
-    """Tally the finite points of height <= `height`; see the module docstring."""
+def _classify_points(coeffs, degree: int,
+                     height: int) -> tuple[dict[str, int], list[dict], dict[str, int]]:
+    """Tally the finite points of height <= `height`; see the module docstring.
+
+    Also returns the counters of the walk: the points, those rejected by the
+    modular prefilter and by the norm filter, and the `_cube_root` calls.
+    """
     counts = {kind.value: 0 for kind in DescentKind}
     undefined, no_descent = DescentKind.UNDEFINED.value, DescentKind.NO_DESCENT.value
     disconnected, descends = DescentKind.DISCONNECTED.value, DescentKind.DESCENDS.value
+    counters = dict.fromkeys(("points", "modular_rejects", "norm_rejects", "cube_root_calls"), 0)
     found = []
     coeffs = coeffs[:degree + 1]
     d = math.lcm(*(c.den for c in coeffs))
     d3 = d ** 3
     # D^3 c_i as integer coordinates, leading coefficient first
     scaled = [(c.num.a * (d3 // c.den), c.num.b * (d3 // c.den)) for c in reversed(coeffs)]
+    residues = [(a % _M, b % _M) for a, b in scaled]
     (lead_a, lead_b), lower = scaled[0], scaled[1:]
     e = -(-degree // 3) * 3  # 3 * ceil(n / 3)
-    for p, q in _lowest_terms(height):
-        # homogeneous Horner: c_n p^n q^(e-n) first, c_0 q^e last
-        qk = q ** (e - degree)
-        ga, gb = lead_a * qk, lead_b * qk
-        for ca, cb in lower:
-            qk *= q
-            ga = ga * p + ca * qk
-            gb = gb * p + cb * qk
-        if not (ga or gb):
-            counts[undefined] += 1
-            continue
-        norm = ga * ga - ga * gb + gb * gb
-        root = icbrt(norm)
-        if root * root * root != norm:
-            counts[no_descent] += 1
-            continue
-        if _cube_root(ga, gb, root) is not None:
-            counts[disconnected] += 1
-            continue
-        counts[descends] += 1
-        z0 = Fraction(p, q)
-        g, r3 = EisensteinInt(ga, gb), root ** 3
-        g2 = g * g
-        form = g2 * g.conj()  # r^3 form(G/r)
-        if form != g * r3:
-            raise AssertionError(f"witness at z={z0} fails the form check")
-        if g2 * r3 != form * g:  # G^2 r^3 = conj(G) G^3
-            raise AssertionError(f"witness at z={z0} fails the Galois identity")
-        s = d * q ** (e // 3)
-        found.append({
-            "z": str(z0),
-            "a": str(EisensteinRational(g, s ** 3)),  # f(p/q)
-            "witness": {"x": str(Fraction(ga, root * s)), "y": str(Fraction(gb, root * s))},
-        })
-    return counts, found
+    for ps, qs in _point_blocks(height):
+        keep = _cube_residue_mask(residues, e, ps, qs)
+        survivors = int(np.count_nonzero(keep))
+        counters["points"] += len(ps)
+        counters["modular_rejects"] += len(ps) - survivors
+        counts[no_descent] += len(ps) - survivors
+        for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
+            # homogeneous Horner: c_n p^n q^(e-n) first, c_0 q^e last
+            qk = q ** (e - degree)
+            ga, gb = lead_a * qk, lead_b * qk
+            for ca, cb in lower:
+                qk *= q
+                ga = ga * p + ca * qk
+                gb = gb * p + cb * qk
+            if not (ga or gb):
+                counts[undefined] += 1
+                continue
+            norm = ga * ga - ga * gb + gb * gb
+            root = icbrt(norm)
+            if root * root * root != norm:
+                counters["norm_rejects"] += 1
+                counts[no_descent] += 1
+                continue
+            counters["cube_root_calls"] += 1
+            if _cube_root(ga, gb, root) is not None:
+                counts[disconnected] += 1
+                continue
+            counts[descends] += 1
+            z0 = Fraction(p, q)
+            g2a, g2b = _mul(ga, gb, ga, gb)
+            fa, fb = _mul(g2a, g2b, ga - gb, -gb)  # G^2 conj(G) = r^3 form(G/r)
+            if (fa, fb) != (ga * norm, gb * norm):
+                raise AssertionError(f"witness at z={z0} fails the form check")
+            if (g2a * norm, g2b * norm) != _mul(fa, fb, ga, gb):  # G^2 r^3 = conj(G) G^3
+                raise AssertionError(f"witness at z={z0} fails the Galois identity")
+            s = d * q ** (e // 3)
+            found.append({
+                "z": str(z0),
+                "a": str(EisensteinRational(EisensteinInt(ga, gb), s ** 3)),  # f(p/q)
+                "witness": {"x": str(Fraction(ga, root * s)), "y": str(Fraction(gb, root * s))},
+            })
+    return counts, found, counters
 
 
 def search(coefficients: Sequence, height: int) -> SearchReport:
@@ -189,7 +274,7 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
         raise ValueError(f"height {height} allows up to {bound} points, "
                          f"above the bound MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS}")
 
-    counts, descends = _classify_points(coeffs, degree, height)
+    counts, descends, counters = _classify_points(coeffs, degree, height)
     inf_cls = specialize(coeffs, INFINITY)
     counts[inf_cls.kind.value] += 1
     infinity_entry = {
@@ -205,5 +290,6 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
         n_points=sum(counts.values()),
         descends=tuple(descends),
         infinity=infinity_entry,
+        counters=counters,
         elapsed_s=time.perf_counter() - start,
     )

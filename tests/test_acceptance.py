@@ -13,6 +13,8 @@ import time
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
+
 from eisdescent import (
     PI,
     DescentKind,
@@ -163,6 +165,32 @@ def test_acceptance_4_target_cover_search_height_50():
         assert report["n_points"] == expected_points
         assert sum(report["counts"].values()) == expected_points
         assert elapsed < 60.0
+
+
+def test_acceptance_8_target_cover_search_at_the_point_bound():
+    height = 499  # the largest height MAX_SEARCH_POINTS allows
+    with criterion(8, "cover t^3 = 3(z^3+2): no descending point, height <= 499, "
+                      "Disconnected = cube numerators 3p^3 + 6q^3 (< 1 s)"):
+        code, doc, elapsed = run_cli(
+            "search", "--coeffs", TARGET_COVER_COEFFS, "--height", str(height))
+        assert code == 0
+        report = doc["report"]
+        assert report["counts"]["Descends"] == 0
+        assert report["descends"] == []
+        # f(p/q) = (3p^3 + 6q^3)/q^3 is rational and never 0: a cube exactly
+        # when its numerator is, and a rational non-cube is no form value.
+        # Count the lowest-terms p/q and the cube numerators on a full grid.
+        p, q = np.meshgrid(np.arange(-height, height + 1), np.arange(1, height + 1))
+        coprime = np.gcd(p, q) == 1
+        p, q = p[coprime], q[coprime]
+        numerators = 3 * p**3 + 6 * q**3  # below 2^31
+        roots = np.rint(np.cbrt(numerators)).astype(np.int64)
+        cubes = int(np.count_nonzero(roots**3 == numerators))
+        assert report["n_points"] == p.size + 1
+        assert report["counts"] == {"Descends": 0, "Disconnected": cubes,
+                                    "NoDescent": p.size + 1 - cubes, "Undefined": 0}
+        assert report["infinity"] == {"a": "3", "classification": "NoDescent"}
+        assert elapsed < 1.0
 
 
 def test_acceptance_5_descent_form_property_suite():

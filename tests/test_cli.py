@@ -1,9 +1,11 @@
+import hashlib
 import importlib
 import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from eisdescent import EisensteinInt, descent_form, eisenstein, intfactor
 from eisdescent.cli import main
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
+PINS = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +247,24 @@ class TestSearchCommand:
             main(["search", "--help"])
         assert "--coeffs=-1,0,1" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("op,coeffs,height", [
+        ("search_target", "6,0,0,3", "200"),  # perfbench/workloads.py TARGET
+        ("search_descending", "0,0,0,w", "60"),  # and DESCENDING
+    ])
+    def test_cover_search_reports_match_benchmark_pins(self, capsys, op, coeffs, height):
+        pins = json.loads(PINS.read_text())["cover-search"]
+        code, out, _ = run_cli(capsys, "search", "--coeffs", coeffs, "--height", height)
+        assert code == 0
+        report = out[out.index('\n  "report": '):]  # the pinned bytes run to the end
+        assert hashlib.sha256(report.encode()).hexdigest() == pins[op]
+
+    def test_counters_sit_outside_the_report(self, capsys):
+        code, doc, _ = run_json(capsys, "search", "--coeffs", "6,0,0,3", "--height", "20")
+        assert code == 0
+        assert list(doc) == ["counters", "elapsed_s", "fingerprint", "report"]
+        assert doc["counters"]["points"] == doc["report"]["n_points"] - 1
+        assert "counters" not in doc["report"]
 
     def test_height_above_point_bound_exits_2_before_walking(self, capsys, monkeypatch):
         height = 500  # (2H + 1) H + 1 = 500,501 > MAX_SEARCH_POINTS

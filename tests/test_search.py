@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -19,8 +20,28 @@ from eisdescent import (
     specialize,
 )
 from eisdescent import eisenstein
+from eisdescent.intfactor import icbrt
+
+search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
 
 TARGET_COVER = [6, 0, 0, 3]  # f(z) = 3 z^3 + 6
+# the lowest height whose points reach past the first block of the enumeration
+FIRST_BLOCK = next(search_module._point_blocks(100))
+PAST_FIRST_BLOCK = int(max(abs(FIRST_BLOCK[0]).max(), FIRST_BLOCK[1].max())) + 1
+
+
+def python_lowest_terms(height):
+    """The pure-Python walk the numpy blocks replace: the pinned visiting order."""
+    yield 0, 1
+    for h in range(1, height + 1):
+        for q in range(1, h + 1):
+            if math.gcd(h, q) == 1:
+                yield h, q
+                yield -h, q
+        for p in range(1, h):
+            if math.gcd(p, h) == 1:
+                yield p, h
+                yield -p, h
 
 
 def oracle_count(height):
@@ -65,8 +86,17 @@ class TestEnumerateRationals:
             last_height = h
 
     def test_bad_bound(self):
-        with pytest.raises(ValueError):
-            list(enumerate_rationals(0))
+        for height in (0, -1):
+            with pytest.raises(ValueError, match="height must be >= 1"):
+                list(enumerate_rationals(height))
+
+    def test_blocks_list_the_python_walk_in_order(self):
+        assert PAST_FIRST_BLOCK < 60  # the range below crosses a block boundary
+        for height in range(1, 61):
+            blocks = list(search_module._point_blocks(height))
+            pairs = [pair for p, q in blocks for pair in zip(p.tolist(), q.tolist())]
+            assert pairs == list(python_lowest_terms(height)), height
+            assert [Fraction(*pair) for pair in pairs] == list(enumerate_rationals(height))
 
 
 class TestSearch:
@@ -152,7 +182,7 @@ def reference_search(coeffs, height):
 @pytest.mark.parametrize("text,height", DIFFERENTIAL_COVERS)
 def test_search_matches_pointwise_specialize(text, height):
     coeffs = [parse_element(part) for part in text.split(",")]
-    for h in (1, height):
+    for h in (1, height, PAST_FIRST_BLOCK):
         report = search(coeffs, h)
         counts, n_points, descends = reference_search(coeffs, h)
         assert report.counts == counts
@@ -213,3 +243,62 @@ def test_classification_depends_on_the_value_up_to_cubes(a, s):
     assert scaled.kind is cls.kind
     if cls.kind is DescentKind.DESCENDS:
         assert (scaled.witness.x, scaled.witness.y) == (s * cls.witness.x, s * cls.witness.y)
+
+
+def norm_of_g(scaled, e, p, q):
+    """N(G) for G = sum of D^3 c_i p^i q^(e-i), term by term (no Horner)."""
+    n = len(scaled) - 1
+    ga = sum(a * p ** (n - j) * q ** (e - n + j) for j, (a, _) in enumerate(scaled))
+    gb = sum(b * p ** (n - j) * q ** (e - n + j) for j, (_, b) in enumerate(scaled))
+    return ga * ga - ga * gb + gb * gb
+
+
+coordinates = st.one_of(st.integers(-9, 9), st.integers(-10**7, 10**7))
+
+
+@st.composite
+def covers(draw, degree):
+    """D^3 c_i as coordinate pairs, leading coefficient first, for random c_i in
+    Q(w) with denominators and w-parts."""
+    coeffs = [EisensteinRational(EisensteinInt(draw(coordinates), draw(coordinates)),
+                                 draw(st.integers(1, 40)))
+              for _ in range(degree + 1)]
+    if not coeffs[-1]:
+        coeffs[-1] = EisensteinRational(1)
+    d3 = math.lcm(*(c.den for c in coeffs)) ** 3
+    return [(c.num.a * (d3 // c.den), c.num.b * (d3 // c.den)) for c in reversed(coeffs)]
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_modular_filter_rejects_only_non_cube_norms(degree, data):
+    scaled = data.draw(covers(degree))
+    height = data.draw(st.sampled_from([1, 2, PAST_FIRST_BLOCK - 1, PAST_FIRST_BLOCK,
+                                        PAST_FIRST_BLOCK + 20]))
+    e = -(-degree // 3) * 3
+    residues = [(a % search_module._M, b % search_module._M) for a, b in scaled]
+    cube_residues = {m: {x ** 3 % m for x in range(m)} for m in search_module._MODULI}
+    for p, q in search_module._point_blocks(height):
+        mask = search_module._cube_residue_mask(residues, e, p, q).tolist()
+        for keep, pq in zip(mask, zip(p.tolist(), q.tolist())):
+            norm = norm_of_g(scaled, e, *pq)
+            assert keep == all(norm % m in cube_residues[m] for m in cube_residues), pq
+            if not keep:
+                root = icbrt(norm)
+                assert root ** 3 != norm, pq
+
+
+def test_search_counters_account_for_every_finite_point():
+    for coeffs, height in [(TARGET_COVER, 60), ([0, 0, 0, OMEGA], 30), ([OMEGA, 0, 0, 1], 40)]:
+        report = search(coeffs, height)
+        doc = report.to_document()
+        c = doc["counters"]
+        assert set(c) == {"points", "modular_rejects", "norm_rejects", "cube_root_calls"}
+        assert c == report.counters
+        finite = dict(report.counts)
+        finite[report.infinity["classification"]] -= 1
+        assert c["points"] == report.n_points - 1 == sum(finite.values())
+        assert c["modular_rejects"] + c["norm_rejects"] == finite["NoDescent"]
+        assert c["cube_root_calls"] == finite["Disconnected"] + finite["Descends"]
+    assert search(TARGET_COVER, 60).counters["modular_rejects"] > 0
