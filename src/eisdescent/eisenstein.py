@@ -36,26 +36,26 @@ __all__ = [
 
 
 def _fmt_frac(n: int, d: int) -> str:
-    f = Fraction(n, d)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """n/d in lowest terms for d >= 1, as an integer when d divides n."""
+    g = math.gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
 
 
 def _format_element(an: int, bn: int, den: int) -> str:
-    """Render (an + bn*w)/den in the element grammar, lowest terms per part."""
+    """Render (an + bn*w)/den, den >= 1, in the element grammar, lowest terms per part."""
     if an == 0 and bn == 0:
         return "0"
     s = ""
     if an != 0:
         s = _fmt_frac(an, den)
     if bn != 0:
-        f = Fraction(bn, den)
         if s:
-            s += "+" if f > 0 else "-"
-            s += _fmt_frac(abs(f.numerator), f.denominator) + "*w"
+            s += "+" if bn > 0 else "-"
+            s += _fmt_frac(abs(bn), den) + "*w"
         else:
-            s = _fmt_frac(f.numerator, f.denominator) + "*w"
+            s = _fmt_frac(bn, den) + "*w"
     return s
 
 

@@ -7,12 +7,20 @@ byte-stable for fixed inputs: sorted keys, sorted lists, no timestamps),
 document has a fourth, "counters" (work done by the walk), also outside
 "report"; it sorts before "report", so the report section's bytes and place
 at the end of the printed document do not change.
+
+Documents are written by `dumps_document`, this module's own writer, whose
+output is byte-identical to `json.dumps(document, sort_keys=True, indent=2)`
+plus a newline: json's indented encoding always takes its pure-Python
+encoder, which cost more than classifying the points of an all-Descends
+search.  Strings go through json's C string encoder, other leaves through
+`json.dumps`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["dumps_document", "fingerprint", "make_document"]
 
@@ -35,5 +43,54 @@ def make_document(report: dict, params: dict, elapsed_s: float,
     return document
 
 
+# Pieces of text are joined into a chunk once this many are pending, checked
+# after each list item.  Most pieces are a few bytes behind an 8-byte list
+# slot and a string header; joining them early keeps the writer's peak memory
+# near twice the finished text (the chunks, then the document).
+_FLUSH_PIECES = 4096
+
+
 def dumps_document(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    chunks: list[str] = []
+    pieces: list[str] = []
+    _write(chunks, pieces, document, "\n")
+    pieces.append("\n")
+    chunks.append("".join(pieces))
+    return "".join(chunks)
+
+
+def _write(chunks: list[str], pieces: list[str], value, newline: str) -> None:
+    """Append `value` to `pieces` as json.dumps(value, sort_keys=True, indent=2)
+    writes it, with `newline` (a line break and the current indent) before
+    each closing bracket.  Dict keys must be strings."""
+    if isinstance(value, str):
+        pieces.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            pieces.append(sep)
+            pieces.append(encode_basestring_ascii(key))
+            pieces.append(": ")
+            _write(chunks, pieces, value[key], inner)
+            sep = "," + inner
+        pieces.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            pieces.append(sep)
+            _write(chunks, pieces, item, inner)
+            sep = "," + inner
+            if len(pieces) >= _FLUSH_PIECES:
+                chunks.append("".join(pieces))
+                pieces.clear()
+        pieces.append(newline + "]")
+    else:
+        pieces.append(json.dumps(value))

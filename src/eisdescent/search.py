@@ -37,6 +37,9 @@ and each step is exact:
   A Descends point is checked once, in Z[w]: the form, G^2 conj(G) = r^3 G
   (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
   for f(z) = G/s^3 and x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.
+  Its finding is text built from the same integers: p/q is already in
+  lowest terms, and G/s^3 and G/(r s) are reduced part by part with one gcd
+  each.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .descent import (
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,
 )
-from .eisenstein import EisensteinInt, EisensteinRational, _cube_root
+from .eisenstein import _cube_root, _fmt_frac, _format_element
 from .intfactor import icbrt
 from .reports import fingerprint, make_document
 
@@ -65,7 +68,7 @@ __all__ = ["MAX_SEARCH_POINTS", "SearchReport", "enumerate_rationals", "search"]
 # The one bound on the walk, checked against (2H + 1) * H + 1 >= the number of
 # points of height <= H (p in [-H, H], q in [1, H], plus infinity) before it
 # starts.  The largest height it allows is 499, 303,664 points.  There the CLI
-# took 9.5-12.6 s and peaked at 619 MB on t^3 = w z^3, where every finite
+# took 6.2-6.6 s and peaked at 317 MB on t^3 = w z^3, where every finite
 # nonzero point descends and each finding is held until the report is written,
 # and 0.3-0.4 s and 33 MB on t^3 = 3(z^3 + 2), where the modular prefilter
 # rejects all but 1,283 points (2-core x86 VM, Python 3.11, numpy 2.4).
@@ -243,18 +246,18 @@ def _classify_points(coeffs, degree: int,
                 counts[disconnected] += 1
                 continue
             counts[descends] += 1
-            z0 = Fraction(p, q)
             g2a, g2b = _mul(ga, gb, ga, gb)
             fa, fb = _mul(g2a, g2b, ga - gb, -gb)  # G^2 conj(G) = r^3 form(G/r)
             if (fa, fb) != (ga * norm, gb * norm):
-                raise AssertionError(f"witness at z={z0} fails the form check")
+                raise AssertionError(f"witness at z={Fraction(p, q)} fails the form check")
             if (g2a * norm, g2b * norm) != _mul(fa, fb, ga, gb):  # G^2 r^3 = conj(G) G^3
-                raise AssertionError(f"witness at z={z0} fails the Galois identity")
+                raise AssertionError(f"witness at z={Fraction(p, q)} fails the Galois identity")
             s = d * q ** (e // 3)
+            rs = root * s
             found.append({
-                "z": str(z0),
-                "a": str(EisensteinRational(EisensteinInt(ga, gb), s ** 3)),  # f(p/q)
-                "witness": {"x": str(Fraction(ga, root * s)), "y": str(Fraction(gb, root * s))},
+                "z": f"{p}/{q}" if q != 1 else str(p),  # p/q is in lowest terms
+                "a": _format_element(ga, gb, s ** 3),  # f(p/q) = G/s^3
+                "witness": {"x": _fmt_frac(ga, rs), "y": _fmt_frac(gb, rs)},
             })
     return counts, found, counters
 

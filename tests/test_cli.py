@@ -61,7 +61,7 @@ class TestVerifyCommand:
 _PEAK_RSS_SCRIPT = """
 import resource, sys
 from eisdescent.cli import main
-code = main(["verify", "no-solution", "--k", "8"])
+code = main(sys.argv[1:])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 sys.exit(code)
 """
@@ -72,11 +72,26 @@ def test_verify_k8_peak_rss_under_150_mb():
     # No 9^k scan of the form image: membership is decided in closed form, and
     # the right-hand side is scanned over a 3^6 box into one 43 MB bitset
     # (about 94 MB for the process; the form-image scan peaked at 260 MB).
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT],
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT,
+                           "verify", "no-solution", "--k", "8"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["holds"] is True
     assert int(proc.stderr.split()[-1]) / 1024 < 150
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_all_descends_search_h250_peak_rss_under_140_mb():
+    # Every finite nonzero point descends and each finding is held until the
+    # report is written: about 105 MB for the process with findings rendered
+    # from integers and the document written by reports' own writer (179 MB
+    # with Fraction-built findings and json's indented encoder).
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT,
+                           "search", "--coeffs", "0,0,0,w", "--height", "250"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["counts"]["Descends"] == 76_095
+    assert int(proc.stderr.split()[-1]) / 1024 < 140
 
 
 class TestMinimalModulusCommand:

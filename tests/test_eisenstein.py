@@ -406,6 +406,38 @@ def test_unit_times_cube_is_a_cube_iff_unit_is_plus_or_minus_one(x, y, unit):
         assert root**3 == unit * beta**3
 
 
+def reference_format(an, bn, den):
+    """(an + bn*w)/den rendered part by part through Fraction."""
+    a, b = Fraction(an, den), Fraction(bn, den)
+    if not (a or b):
+        return "0"
+    text = str(a) if a else ""
+    if b:
+        if text:
+            text += ("+" if b > 0 else "-") + str(abs(b)) + "*w"
+        else:
+            text = str(b) + "*w"
+    return text
+
+
+small = st.integers(-30, 30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(small | coordinate, small | coordinate, st.integers(1, 36) | st.integers(1, 2**64))
+def test_format_element_matches_fraction_reference(an, bn, den):
+    assert eisenstein._format_element(an, bn, den) == reference_format(an, bn, den)
+
+
+@pytest.mark.parametrize("an,bn,den,text", [
+    (0, 0, 1, "0"), (0, 0, 7, "0"), (4, 0, 1, "4"), (0, -4, 1, "-4*w"),
+    (6, -9, 12, "1/2-3/4*w"), (-6, 9, 3, "-2+3*w"), (0, 5, 10, "1/2*w"), (-3, 0, 9, "-1/3"),
+])
+def test_format_element_cases(an, bn, den, text):
+    assert eisenstein._format_element(an, bn, den) == text
+    assert str(EisensteinRational(EisensteinInt(an, bn), den)) == text
+
+
 class TestEisensteinRational:
     def test_always_reduced(self):
         x = EisensteinRational(EisensteinInt(6, -9), -12)
