@@ -11,6 +11,7 @@ path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -44,6 +45,12 @@ _SET_BUILDERS = {
 _ELEMENT_HELP = "an element of Q(w); put a negative one after '--', as in '-- -1/2'"
 
 
+# Building the parser costs about 1 ms, several times a small command's own
+# work, so it is built on the first call to `main` and reused by every later
+# call in the process.  Parsing leaves it unchanged and argparse looks up
+# sys.stdout/sys.stderr only when it prints.  Not built at import, which
+# would add that 1 ms to every start-up.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eisdescent",

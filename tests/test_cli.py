@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eisdescent import EisensteinInt, descent_form, eisenstein, intfactor
+from eisdescent import EisensteinInt, cli, descent_form, eisenstein, intfactor
 from eisdescent.cli import main
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -58,16 +58,20 @@ class TestVerifyCommand:
         assert "error" in err
 
 
+# The child's own high-water mark, VmHWM in KiB.  Not ru_maxrss: on Linux a
+# child inherits its parent's ru_maxrss across fork/exec, so that figure would
+# read pytest's peak whenever pytest has grown past the bound.
 _PEAK_RSS_SCRIPT = """
-import resource, sys
+import sys
 from eisdescent.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1], file=sys.stderr)
 sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 def test_verify_k8_peak_rss_under_150_mb():
     # No 9^k scan of the form image: membership is decided in closed form, and
     # the right-hand side is scanned over a 3^6 box into one 43 MB bitset
@@ -80,7 +84,7 @@ def test_verify_k8_peak_rss_under_150_mb():
     assert int(proc.stderr.split()[-1]) / 1024 < 150
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
 def test_all_descends_search_h250_peak_rss_under_140_mb():
     # Every finite nonzero point descends and each finding is held until the
     # report is written: about 105 MB for the process with findings rendered
@@ -333,6 +337,27 @@ class TestJsonAndStability:
         _, out2, _ = run_cli(capsys, "classify", "6+3*w")
         strip = lambda s: [l for l in s.splitlines() if "elapsed" not in l]
         assert strip(out1) == strip(out2)
+
+    def test_repeated_calls_in_one_process_are_independent(self, capsys, tmp_path):
+        # main builds one parser per process; no call may leave state for the next
+        assert cli._build_parser() is cli._build_parser()
+        path = tmp_path / "report.json"
+        code, first, _ = run_cli(capsys, "classify", "6+3*w", "--json", str(path))
+        assert code == 0
+        assert path.read_text() == first
+        path.unlink()
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "6+3*w", "--k", "3"])
+        assert exc.value.code == 2
+        assert "usage: eisdescent" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, "classify", "1/0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        code, second, _ = run_cli(capsys, "classify", "6+3*w")
+        assert code == 0
+        report = lambda s: s[s.index('"report"'):]
+        assert report(second) == report(first)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

@@ -3,9 +3,11 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eisdescent import intfactor
-from eisdescent.intfactor import exact_cbrt, factor_int, icbrt, is_probable_prime
+from eisdescent.intfactor import TRIAL_LIMIT, exact_cbrt, factor_int, icbrt, is_probable_prime
 
 SEMIPRIME_64 = (2**32 - 5) * (2**32 - 17)
 
@@ -20,6 +22,71 @@ def test_small_factorizations():
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor_int(0)
+
+
+def trial_division(n):
+    """Reference factorization: divide by every d from 2 while d * d <= n."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def next_prime(n):
+    while trial_division(n) != {n: 1}:
+        n += 1
+    return n
+
+
+# primes on both sides of TRIAL_LIMIT = 10,000; 9973 is the largest below it
+BOUNDARY_PRIMES = (9949, 9967, 9973, 10007, 10009, 10037)
+
+
+@st.composite
+def near_limit_products(draw):
+    n = 2 ** draw(st.integers(0, 40)) * 3 ** draw(st.integers(0, 12))
+    for p in BOUNDARY_PRIMES:
+        n *= p ** draw(st.integers(0, 4))
+    return n
+
+
+def test_small_primes_are_the_primes_up_to_the_limit():
+    expected = [p for p in range(2, TRIAL_LIMIT + 1) if trial_division(p) == {p: 1}]
+    assert intfactor._SMALL_PRIMES == expected
+    assert intfactor._PRIMORIAL == math.prod(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_limit_products())
+@example(1)
+@example(9973 * 10007)
+@example(2**40 * 3**7 * 9967**3)
+def test_factor_int_matches_trial_division_near_the_limit(n):
+    assert factor_int(n) == trial_division(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 10**7).map(next_prime))
+@example(9973)
+@example(10007)
+@example(100_000_007)
+def test_factor_int_of_a_prime(p):
+    assert factor_int(p) == {p: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(TRIAL_LIMIT + 1, TRIAL_LIMIT**2 - 1)
+       .filter(lambda n: max(trial_division(n)) > TRIAL_LIMIT))
+@example(2 * 3**3 * 10007)
+@example(9973 * 10009)
+def test_factor_int_with_a_cofactor_above_the_limit(n):
+    assert factor_int(n) == trial_division(n)
 
 
 def test_random_roundtrip():
