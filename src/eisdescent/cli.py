@@ -5,7 +5,9 @@ search, dump-set.  Every command prints a stable JSON document on stdout
 (`--json PATH` additionally writes it to a file) and exits 0 on success,
 1 when an explicitly expected verification outcome is contradicted or an
 internal consistency check fails, 2 on usage errors, among them an output
-path that cannot be written.
+path that cannot be written.  On exit 1 the document is printed as usual,
+then the one-line problem goes to stderr; on exit 2 stderr has `error: ...`
+and stdout stays empty.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import time
 
 from .descent import (
     DescentKind,
-    NotDivisibleError,
     classify,
     descent_form,
     descent_form_preimage,
@@ -26,7 +27,7 @@ from .descent import (
     reduce_by_pi,
 )
 from .eisenstein import factor, is_cube
-from .parsing import ParseError, parse_element
+from .parsing import parse_element
 from .reports import dumps_document, make_document
 from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
 from .search import search
@@ -107,37 +108,29 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="PATH", help="also write the report to a file")
 
 
-def _emit(document: dict, json_path: str | None) -> None:
-    text = dumps_document(document)
-    if json_path:
-        with open(json_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-
-
-def _cmd_verify(args) -> int:
+# Each handler returns its finished document and None, or the document and
+# the one-line message of a failed --expect-holds or internal consistency
+# check; `main` alone writes the document and picks the exit code.
+def _cmd_verify(args) -> tuple[dict, str | None]:
     report = (verify_cube_closure if args.lemma == "cube-closure"
               else verify_no_solution)(args.k)
-    _emit(report.to_document(), args.json)
+    problem = None
     if args.expect_holds is not None:
         expected = args.expect_holds == "true"
         if report.holds != expected:
-            print(f"expected holds={expected}, got holds={report.holds}",
-                  file=sys.stderr)
-            return 1
-    return 0
+            problem = f"expected holds={expected}, got holds={report.holds}"
+    return report.to_document(), problem
 
 
-def _cmd_minimal_modulus(args) -> int:
+def _cmd_minimal_modulus(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     k = minimal_modulus(args.max_k)
     params = {"command": "minimal-modulus", "max_k": args.max_k}
     report = {"max_k": args.max_k, "minimal_k": k}
-    _emit(make_document(report, params, time.perf_counter() - start), args.json)
-    return 0
+    return make_document(report, params, time.perf_counter() - start), None
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     a = parse_element(args.element)
     cls = classify(a)
@@ -150,57 +143,51 @@ def _cmd_classify(args) -> int:
         "classification": cls.kind.value,
         "witness": witness,
     }
-    _emit(make_document(report, params, time.perf_counter() - start), args.json)
+    document = make_document(report, params, time.perf_counter() - start)
     # Internal consistency: a Descends verdict must satisfy the Galois
     # identity and be a non-cube; Disconnected must be a cube.
     if cls.kind is DescentKind.DESCENDS:
         if is_cube(a)[0] or not galois_commutes(a, cls.witness):
-            print("internal inconsistency in classification", file=sys.stderr)
-            return 1
+            return document, "internal inconsistency in classification"
     elif cls.kind is DescentKind.DISCONNECTED and not is_cube(a)[0]:
-        print("internal inconsistency in classification", file=sys.stderr)
-        return 1
-    return 0
+        return document, "internal inconsistency in classification"
+    return document, None
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     a = parse_element(args.element)
     w = descent_form_preimage(a)
+    problem = None
     if w is not None and descent_form(w.x, w.y) != a:
-        print("internal inconsistency in preimage", file=sys.stderr)
-        return 1
+        problem = "internal inconsistency in preimage"
     params = {"command": "solve", "element": str(a)}
     report = {
         "element": str(a),
         "witness": None if w is None else {"x": str(w.x), "y": str(w.y)},
     }
-    _emit(make_document(report, params, time.perf_counter() - start), args.json)
-    return 0
+    return make_document(report, params, time.perf_counter() - start), problem
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     a = parse_element(args.element)
     if a.den != 1:
         raise ValueError("factor requires an integral element of Z[w]")
-    if not a:
-        raise ValueError("cannot factor zero")
     f = factor(a.num)
+    problem = None
     if f.value() != a.num:
-        print("internal inconsistency in factorization", file=sys.stderr)
-        return 1
+        problem = "internal inconsistency in factorization"
     params = {"command": "factor", "element": str(a)}
     report = {
         "element": str(a),
         "unit": str(f.unit),
         "factors": [{"prime": str(p), "exponent": e} for p, e in f.factors],
     }
-    _emit(make_document(report, params, time.perf_counter() - start), args.json)
-    return 0
+    return make_document(report, params, time.perf_counter() - start), problem
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     x2, y2 = reduce_by_pi(args.x, args.y)
     both = pi_divides_both_factors(args.x, args.y)
@@ -212,26 +199,23 @@ def _cmd_reduce(args) -> int:
         "result": {"x": x2, "y": y2, "form": str(g_out)},
         "pi_divides_both_factors": both,
     }
-    _emit(make_document(report, params, time.perf_counter() - start), args.json)
-    return 0
+    return make_document(report, params, time.perf_counter() - start), None
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, str | None]:
     coeffs = [parse_element(part) for part in args.coeffs.split(",")]
     report = search(coeffs, args.height)
-    _emit(report.to_document(), args.json)
-    return 0
+    return report.to_document(), None
 
 
-def _cmd_dump_set(args) -> int:
+def _cmd_dump_set(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     ring = ResidueRing(args.k)
     image = _SET_BUILDERS[args.set](ring)
     image.write_csv(args.path)
     params = {"command": "dump-set", "set": args.set, "k": args.k}
     report = {"set": args.set, "k": args.k, "path": args.path, "size": len(image)}
-    _emit(make_document(report, params, time.perf_counter() - start), args.json)
-    return 0
+    return make_document(report, params, time.perf_counter() - start), None
 
 
 _HANDLERS = {
@@ -250,10 +234,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (ParseError, NotDivisibleError, ValueError, ZeroDivisionError, OSError) as exc:
+        document, problem = _HANDLERS[args.command](args)
+        text = dumps_document(document)
+        # the file first, so an unwritable --json path leaves stdout empty
+        if args.json:
+            with open(args.json, "w", encoding="ascii") as fh:
+                fh.write(text)
+        sys.stdout.write(text)
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if problem is not None:
+        print(problem, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -229,18 +229,29 @@ def _cover_coefficients(coefficients: Sequence) -> tuple[list[EisensteinRational
     return coeffs, degree
 
 
+def _value_at_infinity(coeffs: Sequence, degree: int) -> Optional[EisensteinRational]:
+    """The value of t^3 = f(z) at infinity, or None when infinity is a branch point.
+
+    With e = 3*ceil(n/3) for f of degree n, the chart z = 1/u, t = s/u^(e/3)
+    gives s^3 = u^e f(1/u), whose value at u = 0 is the leading coefficient
+    c_n when 3 divides n and 0 otherwise.
+    """
+    return coeffs[degree] if degree % 3 == 0 else None
+
+
 def specialize(coefficients: Sequence, z0) -> DescentClassification:
     """Classify the specialization of t^3 = f(z) at z = z0 (or infinity).
 
-    `coefficients` lists f from the constant term up.  At infinity the
-    projective model of a cubic f has residue value equal to the leading
-    coefficient; for other degrees the point is classified Undefined.
+    `coefficients` lists f from the constant term up.  When 3 divides the
+    degree of f, infinity is not a branch point and is classified by the
+    leading coefficient of f; for other degrees it is classified Undefined.
     """
     coeffs, degree = _cover_coefficients(coefficients)
     if z0 is INFINITY:
-        if degree != 3:
+        a = _value_at_infinity(coeffs, degree)
+        if a is None:
             return DescentClassification(DescentKind.UNDEFINED)
-        return classify(coeffs[3])
+        return classify(a)
     z0 = Fraction(z0)
     acc = coeffs[degree]
     for i in range(degree - 1, -1, -1):

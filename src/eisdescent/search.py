@@ -56,6 +56,7 @@ from .descent import (
     INFINITY,
     DescentKind,
     _cover_coefficients,
+    _value_at_infinity,
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,
 )
@@ -280,8 +281,9 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
     counts, descends, counters = _classify_points(coeffs, degree, height)
     inf_cls = specialize(coeffs, INFINITY)
     counts[inf_cls.kind.value] += 1
+    inf_a = _value_at_infinity(coeffs, degree)
     infinity_entry = {
-        "a": str(coeffs[3]) if degree == 3 else None,
+        "a": None if inf_a is None else str(inf_a),
         "classification": inf_cls.kind.value,
     }
 

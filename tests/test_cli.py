@@ -42,10 +42,11 @@ class TestVerifyCommand:
         assert doc["report"]["counterexample_count"] >= 1
 
     def test_expect_holds_mismatch_exits_1(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "no-solution", "--k", "2",
-                               "--expect-holds", "true")
+        code, out, err = run_cli(capsys, "verify", "no-solution", "--k", "2",
+                                 "--expect-holds", "true")
         assert code == 1
-        assert "expected holds=True" in err
+        assert err == "expected holds=True, got holds=False\n"
+        assert json.loads(out)["report"]["holds"] is False
 
     def test_expect_holds_match_exits_0(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "cube-closure", "--k", "2",
@@ -218,6 +219,52 @@ class TestFactorCommand:
         assert out == ""
         # the norm (pq)^2 is a perfect square, so rho runs on the 64-bit pq
         assert err.startswith("error: factoring gave up on a 64-bit cofactor")
+
+
+def without_elapsed(out):
+    return [line for line in out.splitlines() if '"elapsed_s"' not in line]
+
+
+class TestConsistencyCheckFailures:
+    # Each check re-derives a verdict the library already made, so only a
+    # patched helper can fail it.  Exit 1 prints the whole document first,
+    # then the problem on stderr.
+    @pytest.mark.parametrize("name,fake,element", [
+        ("galois_commutes", lambda a, witness: False, "6+3*w"),  # Descends
+        ("is_cube", lambda a: (False, None), "1"),  # Disconnected
+    ])
+    def test_classify(self, capsys, monkeypatch, name, fake, element):
+        _, expected, _ = run_cli(capsys, "classify", element)
+        monkeypatch.setattr(cli, name, fake)
+        code, out, err = run_cli(capsys, "classify", element)
+        assert code == 1
+        assert err == "internal inconsistency in classification\n"
+        assert without_elapsed(out) == without_elapsed(expected)
+
+    def test_solve(self, capsys, monkeypatch):
+        _, expected, _ = run_cli(capsys, "solve", "6+3*w")
+        monkeypatch.setattr(cli, "descent_form", lambda x, y: descent_form(x, y) + 1)
+        code, out, err = run_cli(capsys, "solve", "6+3*w")
+        assert code == 1
+        assert err == "internal inconsistency in preimage\n"
+        assert without_elapsed(out) == without_elapsed(expected)
+
+    def test_factor(self, capsys, monkeypatch, tmp_path):
+        # w pi^2 instead of w pi^3 = 6+3*w
+        wrong = eisenstein.Factorization(EisensteinInt(0, 1), ((EisensteinInt(1, 2), 2),))
+        monkeypatch.setattr(cli, "factor", lambda alpha: wrong)
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "factor", "6+3*w", "--json", str(path))
+        assert code == 1
+        assert err == "internal inconsistency in factorization\n"
+        assert path.read_text() == out
+        doc = json.loads(out)
+        assert list(doc) == ["elapsed_s", "fingerprint", "report"]
+        assert doc["report"] == {
+            "element": "6+3*w",
+            "unit": "1*w",
+            "factors": [{"prime": "1+2*w", "exponent": 2}],
+        }
 
 
 class TestReduceCommand:

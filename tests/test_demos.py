@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -28,9 +29,31 @@ def test_demo_exits_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_readme_quick_start_runs():
+def quick_start_block():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    proc = run_python("-c", block)
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs():
+    proc = run_python("-c", quick_start_block())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_comments_are_reprs():
+    # The README says each comment is the repr of the line's value; a
+    # comment may go on with prose after it.
+    block = quick_start_block()
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        if not comment:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), comment
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert comment.startswith(repr(value)), (comment, repr(value))
+        checked += 1
+    assert checked == 10

@@ -257,6 +257,21 @@ class TestSpecialize:
         assert specialize([0, 1], INFINITY).kind is DescentKind.UNDEFINED
         assert specialize([1, 2, 3], INFINITY).kind is DescentKind.UNDEFINED
 
+    @pytest.mark.parametrize("coeffs,kind", [
+        ([6, 0, 0, 3], DescentKind.NO_DESCENT),                     # degree 3: 3
+        ([1, 0, 0, 0, 1], DescentKind.UNDEFINED),                    # degree 4: branch point
+        ([2, 0, 0, 0, 0, EisensteinInt(0, 1)], DescentKind.UNDEFINED),  # degree 5
+        ([1, 0, 0, 0, 0, 0, EisensteinInt(0, 1)], DescentKind.DESCENDS),  # degree 6: w = form(0, 1)
+        ([2, 0, 0, 0, 0, 0, 0, 0, 0, 1], DescentKind.DISCONNECTED),  # degree 9: the cube 1
+    ])
+    def test_infinity_by_degree(self, coeffs, kind):
+        assert specialize(coeffs, INFINITY).kind is kind
+        # In the chart z = 1/u, t = s/u^(e/3), e = 3*ceil(n/3), the cover is
+        # s^3 = u^e f(1/u) and infinity is u = 0.
+        e = -(-(len(coeffs) - 1) // 3) * 3
+        chart = list(reversed(coeffs + [0] * (e + 1 - len(coeffs))))
+        assert specialize(chart, 0).kind is kind
+
     def test_identity_cover(self):
         assert specialize([0, 1], 1).kind is DescentKind.DISCONNECTED
         assert specialize([0, 1], Fraction(1, 2)).kind is DescentKind.NO_DESCENT

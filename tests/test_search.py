@@ -123,6 +123,22 @@ class TestSearch:
         assert report.counts["Undefined"] == 2      # z = 0 and infinity
         assert report.infinity == {"a": None, "classification": "Undefined"}
 
+    @pytest.mark.parametrize("coeffs,infinity", [
+        ([6, 0, 0, 3], {"a": "3", "classification": "NoDescent"}),
+        ([1, 0, 0, 0, 1], {"a": None, "classification": "Undefined"}),
+        ([2, 0, 0, 0, 0, OMEGA], {"a": None, "classification": "Undefined"}),
+        ([0, 0, 0, 0, 0, 0, OMEGA], {"a": "1*w", "classification": "Descends"}),
+        ([2, 0, 0, 0, 0, 0, 0, 0, 0, 1], {"a": "1", "classification": "Disconnected"}),
+    ])
+    def test_infinity_entry_by_degree(self, coeffs, infinity):
+        # infinity is a branch point exactly when 3 does not divide the degree;
+        # otherwise its value is the leading coefficient
+        report = search(coeffs, 3)
+        assert report.infinity == infinity
+        finite = dict(report.counts)
+        finite[infinity["classification"]] -= 1
+        assert sum(finite.values()) == report.counters["points"] == report.n_points - 1
+
     def test_descends_points_exist_for_shifted_cover(self):
         # t^3 = z + (6+3w): at z = 0 the value is 6+3w, a descending point.
         from eisdescent import EisensteinInt, EisensteinRational
