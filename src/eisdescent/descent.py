@@ -28,9 +28,10 @@ from .eisenstein import (
     EisensteinInt,
     EisensteinRational,
     _as_rational_element,
-    is_cube,
+    _cube_root,
+    is_cube,  # unused here; perfbench/tracer.py binds descent.is_cube
 )
-from .intfactor import exact_cbrt
+from .intfactor import exact_cbrt, icbrt
 
 __all__ = [
     "INFINITY",
@@ -145,27 +146,53 @@ def descent_form_preimage(a) -> Optional[DescentWitness]:
     return DescentWitness(x, y, a)
 
 
+def _classify_integral(ga: int, gb: int) -> tuple[str, int]:
+    """The kind of the specialization at G = ga + gb*w in Z[w], and r.
+
+    kind is a `DescentKind` value and r = floor(N(G)^(1/3)); G/r is the
+    witness when G Descends.  0 is Undefined (branch locus).  If G is a
+    cube b^3 or a form value form(x, y), its norm is N(b)^3 or
+    N(x + w y)^3, the cube of a rational; N(G) is an integer, so it is then
+    a perfect integer cube.  A G whose N(G) is not one is NoDescent after
+    one integer cube root.  Past that filter N(G) = r^3 with r >= 1, and
+    every such G is a form value: N(G/r) = N(G)/r^2 = r, so
+    form(G/r) = (G/r) * r = G.  G is therefore Disconnected when it is a
+    cube and Descends with the witness G/r otherwise.  A cube root b of G
+    has N(b) = r, so `_cube_root` on G, r decides with integers alone, and
+    Disconnected rests on an exact b^3 = G.
+    """
+    if not (ga or gb):
+        return "Undefined", 0
+    norm = ga * ga - ga * gb + gb * gb
+    r = icbrt(norm)
+    if r * r * r != norm:
+        return "NoDescent", r
+    if _cube_root(ga, gb, r) is not None:
+        return "Disconnected", r
+    return "Descends", r
+
+
 def classify(a) -> DescentClassification:
     """Classify the specialization of t^3 = z at a point a of Q(w) or infinity.
 
     0 and infinity are Undefined (branch locus); a nonzero cube is
     Disconnected; a non-cube value of the descent form Descends with its
-    witness; anything else does not descend.
+    witness; anything else does not descend.  a is classified by
+    `_classify_integral` on G = den^3 * a, which has the same kind since
+    den^3 is a cube, and the witness G/r of G gives a's witness G/(r den).
     """
     if a is INFINITY:
         return DescentClassification(DescentKind.UNDEFINED)
     a = _as_rational_element(a)
     if a is None:
         raise TypeError("classify expects an element of Q(w) or INFINITY")
-    if not a:
-        return DescentClassification(DescentKind.UNDEFINED)
-    cube, _ = is_cube(a)
-    if cube:
-        return DescentClassification(DescentKind.DISCONNECTED)
-    witness = descent_form_preimage(a)
-    if witness is not None:
-        return DescentClassification(DescentKind.DESCENDS, witness)
-    return DescentClassification(DescentKind.NO_DESCENT)
+    den = a.den
+    ga, gb = a.num.a * den * den, a.num.b * den * den
+    kind, r = _classify_integral(ga, gb)
+    witness = None
+    if kind == "Descends":
+        witness = DescentWitness(Fraction(ga, r * den), Fraction(gb, r * den), a)
+    return DescentClassification(DescentKind(kind), witness)
 
 
 def galois_commutes(a, witness: DescentWitness) -> bool:

@@ -25,15 +25,11 @@ and each step is exact:
   below 2^40 at any height.  Points come in blocks of whole heights in the
   order of `enumerate_rationals`, so the survivors reach the exact path in
   report order.
-* Norm filter.  If G is a cube b^3 or a form value form(x, y), its norm is
-  N(b)^3 or N(x + w y)^3, the cube of a rational; N(G) is an integer, so it
-  is then a perfect integer cube.  A point whose N(G) is not one is
-  NoDescent after one integer cube root.
-* Past the filter, N(G) = r^3 for an integer r >= 1, and every such G is a
-  form value: N(G/r) = N(G)/r^2 = r, so form(G/r) = (G/r) * r = G.  G is
-  therefore Disconnected when it is a cube and Descends with the witness
-  G/r otherwise.  A cube root b of G has N(b) = r, so `_cube_root` on G, r
-  decides with integers alone, and Disconnected rests on an exact b^3 = G.
+* Norm filter.  `descent._classify_integral`, shared with `classify`,
+  decides each surviving G and holds the argument: G is NoDescent unless
+  N(G) is a perfect integer cube r^3.
+* Past the filter, the same function finds G Disconnected when it is a
+  cube and Descends with the witness G/r otherwise.
   A Descends point is checked once, in Z[w]: the form, G^2 conj(G) = r^3 G
   (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
   for f(z) = G/s^3 and x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.
@@ -55,13 +51,13 @@ import numpy as np
 from .descent import (
     INFINITY,
     DescentKind,
+    _classify_integral,
     _cover_coefficients,
     _value_at_infinity,
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,
 )
-from .eisenstein import _cube_root, _fmt_frac, _format_element
-from .intfactor import icbrt
+from .eisenstein import _fmt_frac, _format_element
 from .reports import fingerprint, make_document
 
 __all__ = ["MAX_SEARCH_POINTS", "SearchReport", "enumerate_rationals", "search"]
@@ -207,9 +203,8 @@ def _classify_points(coeffs, degree: int,
     modular prefilter and by the norm filter, and the `_cube_root` calls.
     """
     counts = {kind.value: 0 for kind in DescentKind}
-    undefined, no_descent = DescentKind.UNDEFINED.value, DescentKind.NO_DESCENT.value
-    disconnected, descends = DescentKind.DISCONNECTED.value, DescentKind.DESCENDS.value
-    counters = dict.fromkeys(("points", "modular_rejects", "norm_rejects", "cube_root_calls"), 0)
+    no_descent, descends = DescentKind.NO_DESCENT.value, DescentKind.DESCENDS.value
+    modular_rejects = 0
     found = []
     coeffs = coeffs[:degree + 1]
     d = math.lcm(*(c.den for c in coeffs))
@@ -221,10 +216,7 @@ def _classify_points(coeffs, degree: int,
     e = -(-degree // 3) * 3  # 3 * ceil(n / 3)
     for ps, qs in _point_blocks(height):
         keep = _cube_residue_mask(residues, e, ps, qs)
-        survivors = int(np.count_nonzero(keep))
-        counters["points"] += len(ps)
-        counters["modular_rejects"] += len(ps) - survivors
-        counts[no_descent] += len(ps) - survivors
+        modular_rejects += len(ps) - int(np.count_nonzero(keep))
         for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
             # homogeneous Horner: c_n p^n q^(e-n) first, c_0 q^e last
             qk = q ** (e - degree)
@@ -233,20 +225,11 @@ def _classify_points(coeffs, degree: int,
                 qk *= q
                 ga = ga * p + ca * qk
                 gb = gb * p + cb * qk
-            if not (ga or gb):
-                counts[undefined] += 1
+            kind, root = _classify_integral(ga, gb)
+            counts[kind] += 1
+            if kind != descends:
                 continue
-            norm = ga * ga - ga * gb + gb * gb
-            root = icbrt(norm)
-            if root * root * root != norm:
-                counters["norm_rejects"] += 1
-                counts[no_descent] += 1
-                continue
-            counters["cube_root_calls"] += 1
-            if _cube_root(ga, gb, root) is not None:
-                counts[disconnected] += 1
-                continue
-            counts[descends] += 1
+            norm = root * root * root
             g2a, g2b = _mul(ga, gb, ga, gb)
             fa, fb = _mul(g2a, g2b, ga - gb, -gb)  # G^2 conj(G) = r^3 form(G/r)
             if (fa, fb) != (ga * norm, gb * norm):
@@ -260,6 +243,13 @@ def _classify_points(coeffs, degree: int,
                 "a": _format_element(ga, gb, s ** 3),  # f(p/q) = G/s^3
                 "witness": {"x": _fmt_frac(ga, rs), "y": _fmt_frac(gb, rs)},
             })
+    counts[no_descent] += modular_rejects
+    counters = {
+        "points": sum(counts.values()),
+        "modular_rejects": modular_rejects,
+        "norm_rejects": counts[no_descent] - modular_rejects,
+        "cube_root_calls": counts[DescentKind.DISCONNECTED.value] + counts[descends],
+    }
     return counts, found, counters
 
 

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from eisdescent import (
     INFINITY,
     OMEGA,
+    DescentClassification,
     DescentKind,
     EisensteinInt,
     EisensteinRational,
     classify,
     descent_form,
+    descent_form_preimage,
     enumerate_rationals,
+    is_cube,
     parse_element,
     search,
-    specialize,
 )
 from eisdescent import eisenstein
 from eisdescent.intfactor import icbrt
@@ -180,13 +182,36 @@ DIFFERENTIAL_COVERS = [
 ]
 
 
+def composed_classify(a):
+    """classify by the composition of the public deciders: 0 is Undefined,
+    a cube is Disconnected, and a form value Descends with its preimage."""
+    if not a:
+        return DescentClassification(DescentKind.UNDEFINED)
+    if is_cube(a)[0]:
+        return DescentClassification(DescentKind.DISCONNECTED)
+    witness = descent_form_preimage(a)
+    if witness is not None:
+        return DescentClassification(DescentKind.DESCENDS, witness)
+    return DescentClassification(DescentKind.NO_DESCENT)
+
+
+def reference_value(coeffs, z0):
+    """f(z0) by plain Q(w) arithmetic; at infinity the leading coefficient
+    when 3 divides the degree, else None (a branch point)."""
+    degree = max(i for i, c in enumerate(coeffs) if c)
+    if z0 is INFINITY:
+        return coeffs[degree] if degree % 3 == 0 else None
+    return sum((c * z0 ** i for i, c in enumerate(coeffs)), EisensteinRational(0))
+
+
 def reference_search(coeffs, height):
-    """counts, n_points and descends from `specialize` point by point."""
+    """counts, n_points and descends from `composed_classify` point by point."""
     counts = {kind.value: 0 for kind in DescentKind}
     descends = []
     points = list(enumerate_rationals(height)) + [INFINITY]
     for z0 in points:
-        cls = specialize(coeffs, z0)
+        a = reference_value(coeffs, z0)
+        cls = DescentClassification(DescentKind.UNDEFINED) if a is None else composed_classify(a)
         counts[cls.kind.value] += 1
         if cls.kind is DescentKind.DESCENDS and z0 is not INFINITY:
             w = cls.witness
@@ -261,6 +286,22 @@ def test_classification_depends_on_the_value_up_to_cubes(a, s):
         assert (scaled.witness.x, scaled.witness.y) == (s * cls.witness.x, s * cls.witness.y)
 
 
+values = st.one_of(
+    nonzero_elements(),
+    st.just(EisensteinRational(0)),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**3),
+    st.builds(lambda a, sign: sign * a ** 3,
+              st.one_of(nonzero_elements(), st.fractions(max_denominator=50).filter(bool)),
+              st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_classify_matches_the_composition_of_cube_test_and_preimage(a):
+    assert classify(a) == composed_classify(a)
+
+
 def norm_of_g(scaled, e, p, q):
     """N(G) for G = sum of D^3 c_i p^i q^(e-i), term by term (no Horner)."""
     n = len(scaled) - 1
@@ -306,7 +347,16 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
 
 
 def test_search_counters_account_for_every_finite_point():
-    for coeffs, height in [(TARGET_COVER, 60), ([0, 0, 0, OMEGA], 30), ([OMEGA, 0, 0, 1], 40)]:
+    # the last two are pinned from the walk that counted point by point
+    for coeffs, height, pinned in [
+        (TARGET_COVER, 60, None),
+        ([0, 0, 0, OMEGA], 30, None),
+        ([OMEGA, 0, 0, 1], 40, None),
+        (TARGET_COVER, 200, {"points": 48927, "modular_rejects": 48749,
+                             "norm_rejects": 178, "cube_root_calls": 0}),
+        ([0, 0, 0, OMEGA], 60, {"points": 4407, "modular_rejects": 0,
+                                "norm_rejects": 0, "cube_root_calls": 4406}),
+    ]:
         report = search(coeffs, height)
         doc = report.to_document()
         c = doc["counters"]
@@ -317,4 +367,6 @@ def test_search_counters_account_for_every_finite_point():
         assert c["points"] == report.n_points - 1 == sum(finite.values())
         assert c["modular_rejects"] + c["norm_rejects"] == finite["NoDescent"]
         assert c["cube_root_calls"] == finite["Disconnected"] + finite["Descends"]
+        if pinned is not None:
+            assert c == pinned
     assert search(TARGET_COVER, 60).counters["modular_rejects"] > 0

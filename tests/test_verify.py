@@ -8,7 +8,6 @@ from eisdescent import (
     PI,
     EisensteinInt,
     ResidueRing,
-    ResidueSet,
     cube_values,
     descent_form_image,
     minimal_modulus,
@@ -94,24 +93,45 @@ def naive_no_solution_counterexamples(k):
     return sorted(image[v] + rhs[v] for v in image.keys() & rhs.keys())
 
 
-# A form image mod 27 with the cube (2w)^3 = 8, lex-first root (0, 2), left out.
-_CUBE_8 = _cube((0, 2), 27)
+# Roots (0, b) and (1, b) of cubes mod 27, each the lex-first root of its cube:
+# (2w)^3 = 8 alone for one missing cube, and seven for the counterexample cap.
+_ROOT_OF_8 = (0, 2)
+_SEVEN_ROOTS = [(0, 2), (0, 4), (0, 5), (0, 7), (0, 8), (1, 3), (1, 6)]
 
 
-def _image_without_cube_8(ring):
-    image = descent_form_image(ring)
-    bitset = image.bitset.copy()
-    index = _CUBE_8[0] * ring.modulus + _CUBE_8[1]
-    assert ring.k == 3 and bitset[index]
-    bitset[index] = False
-    return ResidueSet(image.name, ring, image.value_fn, image.side, bitset)
+def _doctor_image(monkeypatch, roots):
+    """Make verify's membership test mod 27 see the form image without the
+    cubes of `roots`."""
+    def in_doctored_image(ring, values):
+        bitset = descent_form_image(ring).bitset.copy()
+        for c in roots:
+            ca, cb = _cube(c, ring.modulus)
+            assert ring.k == 3 and bitset[ca * ring.modulus + cb]
+            bitset[ca * ring.modulus + cb] = False
+        return bitset[values]
+    monkeypatch.setattr(verify_module, "in_form_image", in_doctored_image)
 
 
-def _doctor_image(monkeypatch):
-    """Make verify see that doctored image, in its scan and in its membership test."""
-    monkeypatch.setattr(verify_module, "descent_form_image", _image_without_cube_8)
-    monkeypatch.setattr(verify_module, "in_form_image",
-                        lambda ring, values: _image_without_cube_8(ring).bitset[values])
+def exhaustive_closure_failures(ring):
+    """Every (c, x, y) with c^3 * form(x, y) outside the form image, sorted:
+    all |cubes| * |image| products, c and (x, y) the lex-first producers of
+    the cube and of the form value."""
+    cubes, image = cube_values(ring), descent_form_image(ring)
+    m = ring.modulus
+    sa = image.values // m
+    sb = image.values % m
+    xy = image.first_producers(image.values)
+    failures = []
+    for u, zp in zip(cubes.values.tolist(), cubes.first_producers(cubes.values).tolist()):
+        ua, ub = divmod(u, m)
+        wa = (ua * sa - ub * sb) % m
+        wb = (ua * sb + ub * sa - ub * sb) % m
+        bad = ~image.bitset[wa * m + wb]
+        if bad.any():
+            ca, cb = divmod(zp, m)
+            failures.extend((ca, cb, p // m, p % m) for p in xy[bad].tolist())
+    failures.sort()
+    return failures
 
 
 class TestAgainstNaiveOracle:
@@ -211,42 +231,42 @@ class TestCubeClosure:
 
     def test_subset_test_agrees_with_exhaustive_products(self):
         for k in range(1, 6):
-            ring = ResidueRing(k)
-            failures = verify_module._closure_failures(cube_values(ring),
-                                                       descent_form_image(ring))
+            failures = exhaustive_closure_failures(ResidueRing(k))
             report = verify_cube_closure(k)
             assert report.holds == (not failures)
-            assert report.counterexample_count == len(failures)
-            assert report.counterexamples == tuple(
-                {"c": [ca, cb], "x": x, "y": y}
-                for ca, cb, x, y in failures[:verify_module.COUNTEREXAMPLE_CAP])
+            assert report.counterexample_count == len(failures) == 0
+            assert report.counterexamples == ()
             text = dumps_document(report.to_document()["report"])
             assert hashlib.sha256(text.encode()).hexdigest() == CUBE_CLOSURE_REPORT_SHA256[k]
 
     def test_fallback_lists_products_outside_a_doctored_image(self, monkeypatch):
-        k, m = 3, 27
-        _doctor_image(monkeypatch)
-        report = verify_cube_closure(k)
+        m = 27
+        _doctor_image(monkeypatch, [_ROOT_OF_8])
+        report = verify_cube_closure(3)
         assert not report.holds
         # 8 * form(1, 0) = 8 * 1 left the doctored image
-        assert {"c": [0, 2], "x": 1, "y": 0} in report.counterexamples
+        assert report.counterexamples == ({"c": [0, 2], "x": 1, "y": 0},)
+        assert report.counterexample_count == 1
 
-        cubes = {_cube((a, b), m) for a in range(m) for b in range(m)}
-        image = {_form(x, y, m) for x in range(m) for y in range(m)} - {_CUBE_8}
-        naive_count = sum(_mul(u, s, m) not in image for u in cubes for s in image)
-        assert report.counterexample_count == naive_count
+        roots = {}
+        for za in range(m):
+            for zb in range(m):
+                roots.setdefault(_cube((za, zb), m), (za, zb))
+        image = {_form(x, y, m) for x in range(m) for y in range(m)} - {_cube(_ROOT_OF_8, m)}
+        assert sorted(roots[u] for u in roots.keys() - image) == [_ROOT_OF_8]
+        assert any(_mul(u, s, m) not in image for u in roots for s in image)
 
     def test_cap_keeps_the_first_of_the_sorted_list(self, monkeypatch):
-        _doctor_image(monkeypatch)
+        _doctor_image(monkeypatch, _SEVEN_ROOTS)
         full = verify_cube_closure(3)
-        keys = [(c["c"][0], c["c"][1], c["x"], c["y"]) for c in full.counterexamples]
-        assert keys == sorted(keys)
-        assert full.counterexample_count == len(full.counterexamples) == 17
+        keys = [tuple(c["c"]) for c in full.counterexamples]
+        assert keys == sorted(_SEVEN_ROOTS)
+        assert full.counterexample_count == len(full.counterexamples) == 7
 
         monkeypatch.setattr(verify_module, "COUNTEREXAMPLE_CAP", 5)
         capped = verify_cube_closure(3)
         assert capped.counterexamples == full.counterexamples[:5]
-        assert capped.counterexample_count == 17
+        assert capped.counterexample_count == 7
 
     def test_cubes_are_form_values_identity(self):
         # c^3 = phi((-pi)^j e^2 conj(e)^-1) for c = pi^j e, e a unit; with
