@@ -20,9 +20,8 @@ len(text) + 1 when the text ends too early ("1+" -> 3).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .eisenstein import EisensteinRational
+from .eisenstein import EisensteinInt, EisensteinRational
 
 __all__ = ["ParseError", "parse_element"]
 
@@ -49,7 +48,7 @@ def parse_element(text: str) -> EisensteinRational:
     bad = _ILLEGAL.search(text)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
-    x = y = Fraction(0)
+    x, y = [0, 1], [0, 1]  # each coordinate as an integer pair n/d, reduced once at the end
     lead = re.match(r"\s*-", text)
     sign, pos = (-1, lead.end()) if lead else (1, 0)
     while True:
@@ -59,21 +58,18 @@ def parse_element(text: str) -> EisensteinRational:
             what = "a number after '-'" if lead else "a term"
             raise ParseError(f"expected {what}", _column(text, pos))
         lead = None
-        value = Fraction(int(num or 1))
         if slash and den is None:
             raise ParseError("expected a denominator", _column(text, m.end(2)))
         if den is not None and int(den) == 0:
             raise ParseError("zero denominator", m.start(3) + 1)
         if star and not w:
             raise ParseError("expected 'w'", _column(text, m.end(4)))
-        value /= int(den or 1)
-        if w:
-            y += sign * value
-        else:
-            x += sign * value
+        n, d = sign * int(num or 1), int(den or 1)
+        acc = y if w else x
+        acc[0], acc[1] = acc[0] * d + n * acc[1], acc[1] * d
         pos = m.end()
         if pos == len(text):
-            return EisensteinRational.from_coords(x, y)
+            return EisensteinRational(EisensteinInt(x[0] * y[1], y[0] * x[1]), x[1] * y[1])
         if text[pos] not in "+-":
             raise ParseError(f"unexpected {text[pos]!r}", pos + 1)
         sign = -1 if text[pos] == "-" else 1

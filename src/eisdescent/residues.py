@@ -9,7 +9,9 @@ coordinate grid with numpy, in chunks to bound memory, and stored as a
 dense bitset over those indices: a scan records membership only.  The
 lexicographically first producer of a value, which counterexample reports
 name, is found by `ResidueSet.first_producers`, which scans the grid again
-for just the values asked about.
+for just the values asked about.  numpy is imported by the functions that
+scan and by `in_form_image`, not by the module, so importing it (and the
+CLI) does not load numpy.
 
 Cubes are scanned over the box z in [0, 3^(k-1))^2 when k >= 2:
 (z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the cross terms carry a factor
@@ -29,9 +31,13 @@ check that only asks whether a few values lie in the image needs no scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the functions that scan, so that commands which never
+# scan start without it.
 
 __all__ = [
     "MAX_VERIFY_K",
@@ -51,7 +57,7 @@ __all__ = [
 MAX_VERIFY_K = 8
 _CHUNK_CELLS = 1 << 20
 _CSV_ROWS = 1 << 10  # rows per formatted write; larger chunks hold more ints, no faster
-ValueFn = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+ValueFn = Callable[..., tuple]  # (first, second, m) -> (value a, value b), int64 arrays
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class ResidueSet:
         self.value_fn = value_fn
         self.side = side
         self.bitset = bitset
-        self.values = np.flatnonzero(bitset)
+        self.values = bitset.nonzero()[0]
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -102,6 +108,8 @@ class ResidueSet:
         Scans the grid once more, unless `targets` is empty; a target that is
         not a member raises KeyError.
         """
+        import numpy as np
+
         if targets.size == 0:
             return np.empty(0, dtype=np.int64)
         if not self.bitset[targets].all():
@@ -116,6 +124,8 @@ class ResidueSet:
 
     def write_csv(self, path: str) -> None:
         """Rows "a,b" in enumeration order, after a "# ring=3^k set=..." header."""
+        import numpy as np
+
         m = self.ring.modulus
         with open(path, "w", encoding="ascii") as fh:
             fh.write(f"# ring=3^{self.ring.k} set={self.name}\n")
@@ -127,6 +137,8 @@ class ResidueSet:
 
 def _grid(m: int, value_fn: ValueFn, side: int):
     """Yield (first column, second row, flat value indices) per chunk of [0, side)^2."""
+    import numpy as np
+
     rows = max(1, _CHUNK_CELLS // side)
     second = np.arange(side, dtype=np.int64)[np.newaxis, :]
     for lo in range(0, side, rows):
@@ -137,6 +149,8 @@ def _grid(m: int, value_fn: ValueFn, side: int):
 
 def _scan(name: str, ring: ResidueRing, value_fn: ValueFn, side: int) -> ResidueSet:
     """The set of values value_fn takes over the grid [0, side)^2."""
+    import numpy as np
+
     bitset = np.zeros(ring.size, dtype=bool)
     for _, _, values in _grid(ring.modulus, value_fn, side):
         bitset[values] = True
@@ -214,6 +228,8 @@ def in_form_image(ring: ResidueRing, values: np.ndarray) -> np.ndarray:
     The closed form argued above: no scan, a few array operations on the norms
     of the lifts.
     """
+    import numpy as np
+
     a, b = np.divmod(values, ring.modulus)
     norm = a * a - a * b + b * b
     top = ring.size  # 3^(2k): only v = 0 has N(v) = 0 (mod 3^(2k))

@@ -24,7 +24,8 @@ and each step is exact:
   run in int64 over a block of points in one numpy pass; every product is
   below 2^40 at any height.  Points come in blocks of whole heights in the
   order of `enumerate_rationals`, so the survivors reach the exact path in
-  report order.
+  report order.  numpy is imported by the functions that build and filter
+  the blocks, not by the module, so importing it does not load numpy.
 * Norm filter.  `descent._classify_integral`, shared with `classify`,
   decides each surviving G and holds the argument: G is NoDescent unless
   N(G) is a perfect integer cube r^3.
@@ -40,13 +41,12 @@ and each step is exact:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .descent import (
     INFINITY,
@@ -59,6 +59,12 @@ from .descent import (
 )
 from .eisenstein import _fmt_frac, _format_element
 from .reports import fingerprint, make_document
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the functions that scan, so that commands which never
+# scan start without it.
 
 __all__ = ["MAX_SEARCH_POINTS", "SearchReport", "enumerate_rationals", "search"]
 
@@ -78,8 +84,17 @@ MAX_SEARCH_POINTS = 500_000
 # modulus marks its cube residues.
 _MODULI = (7, 9, 13, 19, 37)
 _M = math.prod(_MODULI)
-_CUBE_RESIDUES = tuple(np.array([any(x ** 3 % m == r for x in range(m)) for r in range(m)])
-                       for m in _MODULI)
+
+
+@functools.cache
+def _cube_residues() -> tuple[np.ndarray, ...]:
+    """One bool table per modulus of _MODULI, True at its cube residues."""
+    import numpy as np
+
+    return tuple(np.array([any(x ** 3 % m == r for x in range(m)) for r in range(m)])
+                 for m in _MODULI)
+
+
 # A block of the enumeration holds whole heights and ends at the first height
 # that brings its candidates p/q (before the gcd test) to this many.
 _BLOCK_POINTS = 4096
@@ -93,6 +108,8 @@ def _point_blocks(height: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     Within height h come h/q and -h/q for q = 1..h, then p/h and -p/h for
     p = 1..h-1.
     """
+    import numpy as np
+
     if height < 1:
         raise ValueError("height must be >= 1")
     lo = 1
@@ -135,6 +152,8 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
     `residues` lists D^3 c_i mod _M as coordinate pairs, leading coefficient
     first; G = sum of D^3 c_i p^i q^(e-i) as in the module docstring.
     """
+    import numpy as np
+
     p, q = p % _M, q % _M
     qk = np.ones_like(q)
     for _ in range(e + 1 - len(residues)):  # q^(e-n), n + 1 coefficients
@@ -147,7 +166,7 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
         gb = (gb * p + cb * qk) % _M
     norm = ga * ga - ga * gb + gb * gb  # >= 0, below 2^40
     mask = np.ones(p.shape, dtype=bool)
-    for m, table in zip(_MODULI, _CUBE_RESIDUES):
+    for m, table in zip(_MODULI, _cube_residues()):
         mask &= table[norm % m]
     return mask
 
@@ -202,6 +221,8 @@ def _classify_points(coeffs, degree: int,
     Also returns the counters of the walk: the points, those rejected by the
     modular prefilter and by the norm filter, and the `_cube_root` calls.
     """
+    import numpy as np
+
     counts = {kind.value: 0 for kind in DescentKind}
     no_descent, descends = DescentKind.NO_DESCENT.value, DescentKind.DESCENDS.value
     modular_rejects = 0

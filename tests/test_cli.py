@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -59,44 +60,94 @@ class TestVerifyCommand:
         assert "error" in err
 
 
-# The child's own high-water mark, VmHWM in KiB.  Not ru_maxrss: on Linux a
-# child inherits its parent's ru_maxrss across fork/exec, so that figure would
-# read pytest's peak whenever pytest has grown past the bound.
-_PEAK_RSS_SCRIPT = """
+# One CLI call in a new interpreter, which then reports whether it loaded numpy
+# and its own high-water mark, VmHWM in KiB.  Not ru_maxrss: on Linux a child
+# inherits its parent's ru_maxrss across fork/exec, so that figure would read
+# pytest's peak whenever pytest has grown past the bound.
+_CHILD_SCRIPT = """
 import sys
 from eisdescent.cli import main
 code = main(sys.argv[1:])
+print("numpy" in sys.modules, file=sys.stderr)
 with open("/proc/self/status") as fh:
     print(next(line for line in fh if line.startswith("VmHWM:")).split()[1], file=sys.stderr)
 sys.exit(code)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+def run_fresh(*argv):
+    """(stdout, numpy loaded, VmHWM in MB) of a CLI call that must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *_, numpy_loaded, peak_kib = proc.stderr.split()
+    return proc.stdout, numpy_loaded == "True", int(peak_kib) / 1024
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="reads VmHWM from /proc/self/status")
+
+
+@linux_only
 def test_verify_k8_peak_rss_under_150_mb():
     # No 9^k scan of the form image: membership is decided in closed form, and
     # the right-hand side is scanned over a 3^6 box into one 43 MB bitset
     # (about 94 MB for the process; the form-image scan peaked at 260 MB).
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT,
-                           "verify", "no-solution", "--k", "8"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["report"]["holds"] is True
-    assert int(proc.stderr.split()[-1]) / 1024 < 150
+    out, _, peak_mb = run_fresh("verify", "no-solution", "--k", "8")
+    assert json.loads(out)["report"]["holds"] is True
+    assert peak_mb < 150
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc/self/status")
+@linux_only
 def test_all_descends_search_h250_peak_rss_under_140_mb():
     # Every finite nonzero point descends and each finding is held until the
     # report is written: about 105 MB for the process with findings rendered
     # from integers and the document written by reports' own writer (179 MB
     # with Fraction-built findings and json's indented encoder).
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT,
-                           "search", "--coeffs", "0,0,0,w", "--height", "250"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["report"]["counts"]["Descends"] == 76_095
-    assert int(proc.stderr.split()[-1]) / 1024 < 140
+    out, _, peak_mb = run_fresh("search", "--coeffs", "0,0,0,w", "--height", "250")
+    assert json.loads(out)["report"]["counts"]["Descends"] == 76_095
+    assert peak_mb < 140
+
+
+# numpy is imported only by the functions that scan the finite rings or the
+# cover's points, so the one-shot commands start without it.
+@linux_only
+@pytest.mark.parametrize("argv", [
+    ("classify", "--", "6+3*w"),
+    ("solve", "--", "6+3*w"),
+    ("factor", "--", "1980-366*w"),
+    ("reduce", "3", "6"),
+])
+def test_one_shot_commands_start_without_numpy(argv):
+    # about 20 MB without numpy; importing it took the process to about 32 MB
+    _, numpy_loaded, peak_mb = run_fresh(*argv)
+    assert not numpy_loaded
+    assert peak_mb < 25
+
+
+@linux_only
+@pytest.mark.parametrize("argv", [
+    ("verify", "no-solution", "--k", "3"),
+    ("search", "--coeffs", "6,0,0,3", "--height", "5"),
+])
+def test_scanning_commands_import_numpy_when_they_scan(argv):
+    _, numpy_loaded, _ = run_fresh(*argv)
+    assert numpy_loaded
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, eisdescent.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_package_names_stay_plain_attributes():
+    from eisdescent import ResidueRing, enumerate_rationals, search
+
+    assert isinstance(search, FunctionType)
+    assert isinstance(ResidueRing, type)
+    assert isinstance(enumerate_rationals, FunctionType)
 
 
 class TestMinimalModulusCommand:

@@ -346,6 +346,16 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
                 assert root ** 3 != norm, pq
 
 
+def test_cube_residue_tables_mark_exactly_the_cubes_and_are_built_once():
+    tables = search_module._cube_residues()
+    assert len(tables) == len(search_module._MODULI)
+    for m, table in zip(search_module._MODULI, tables):
+        cubes = sorted({x ** 3 % m for x in range(m)})
+        assert table.dtype == bool and table.shape == (m,)
+        assert table.nonzero()[0].tolist() == cubes, m
+    assert search_module._cube_residues() is tables
+
+
 def test_search_counters_account_for_every_finite_point():
     # the last two are pinned from the walk that counted point by point
     for coeffs, height, pinned in [
