@@ -18,6 +18,7 @@ a^2 = conj(a) * (x + w y)^3, which a valid witness satisfies exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -235,11 +236,13 @@ def pi_divides_both_factors(x: int, y: int) -> bool:
     return divmod(beta, PI)[1] == 0 and divmod(gamma, PI)[1] == 0
 
 
-def _cover_coefficients(coefficients: Sequence) -> tuple[list[EisensteinRational], int]:
-    """f of t^3 = f(z) as elements of Q(w), constant term first, and its degree.
+def _cover_coefficients(coefficients: Sequence) -> tuple[list, list, int, int]:
+    """f of t^3 = f(z) as elements of Q(w), constant term first, and in integer form.
 
-    Raises TypeError for an entry that is not in Q(w) and ValueError when f
-    has degree < 1.
+    The integer form is scaled, D^3 c_i as coordinate pairs from the leading
+    coefficient c_n down, with D the lcm of the denominators, then D and
+    e = 3*ceil(n/3).  Raises TypeError for an entry that is not in Q(w) and
+    ValueError when f has degree < 1.
     """
     coeffs = []
     for c in coefficients:
@@ -253,34 +256,40 @@ def _cover_coefficients(coefficients: Sequence) -> tuple[list[EisensteinRational
             degree = i
     if degree < 1:
         raise ValueError("cover polynomial must have degree >= 1")
-    return coeffs, degree
+    d = math.lcm(*(c.den for c in coeffs))
+    d3 = d ** 3
+    scaled = [(c.num.a * (d3 // c.den), c.num.b * (d3 // c.den))
+              for c in reversed(coeffs[:degree + 1])]
+    return coeffs, scaled, d, -(-degree // 3) * 3
 
 
-def _value_at_infinity(coeffs: Sequence, degree: int) -> Optional[EisensteinRational]:
-    """The value of t^3 = f(z) at infinity, or None when infinity is a branch point.
+def _homogeneous_value(scaled, e: int, p: int, q: int) -> tuple[int, int]:
+    """G(p, q) = sum of D^3 c_i p^i q^(e-i), the cover at the point (p : q) of P^1.
 
-    With e = 3*ceil(n/3) for f of degree n, the chart z = 1/u, t = s/u^(e/3)
-    gives s^3 = u^e f(1/u), whose value at u = 0 is the leading coefficient
-    c_n when 3 divides n and 0 otherwise.
+    scaled and e are those of `_cover_coefficients`.  G is homogeneous of
+    degree e, a multiple of 3.  At p/q, G = (D q^(e/3))^3 f(p/q) is f(p/q)
+    times a cube, so it has the classification of f(p/q).  At infinity,
+    (1 : 0), G = D^3 c_e: D^3 times the leading coefficient when 3 | n, and
+    0 (a branch point) otherwise.
     """
-    return coeffs[degree] if degree % 3 == 0 else None
+    ga = gb = 0
+    qk = q ** (e + 1 - len(scaled))  # q^(e-n), then one more q per term
+    for ca, cb in scaled:
+        ga = ga * p + ca * qk
+        gb = gb * p + cb * qk
+        qk *= q
+    return ga, gb
 
 
 def specialize(coefficients: Sequence, z0) -> DescentClassification:
     """Classify the specialization of t^3 = f(z) at z = z0 (or infinity).
 
-    `coefficients` lists f from the constant term up.  When 3 divides the
-    degree of f, infinity is not a branch point and is classified by the
-    leading coefficient of f; for other degrees it is classified Undefined.
+    `coefficients` lists f from the constant term up.  z0 = p/q is the point
+    (p : q) of P^1 and INFINITY is (1 : 0); the value there is G(p, q)/s^3
+    of `_homogeneous_value`, with s = D q^(e/3), or s = D at infinity.
     """
-    coeffs, degree = _cover_coefficients(coefficients)
-    if z0 is INFINITY:
-        a = _value_at_infinity(coeffs, degree)
-        if a is None:
-            return DescentClassification(DescentKind.UNDEFINED)
-        return classify(a)
-    z0 = Fraction(z0)
-    acc = coeffs[degree]
-    for i in range(degree - 1, -1, -1):
-        acc = acc * z0 + coeffs[i]
-    return classify(acc)
+    coeffs, scaled, d, e = _cover_coefficients(coefficients)
+    p, q = (1, 0) if z0 is INFINITY else Fraction(z0).as_integer_ratio()
+    ga, gb = _homogeneous_value(scaled, e, p, q)
+    s = d * q ** (e // 3) if q else d
+    return classify(EisensteinRational(EisensteinInt(ga, gb), s ** 3))

@@ -14,9 +14,13 @@ and each step is exact:
   dividing by the cube s^3 keeps cubes cubes, and form values form values,
   since s^3 form(x, y) = form(s x, s y) for the homogeneous cubic form.  So
   G and f(z) have the same classification, and the witness of f(z) is that
-  of G divided by s.
+  of G divided by s.  Infinity is the point (1 : 0), where s = D and
+  G = D^3 c_e: D^3 times the leading coefficient when 3 divides n, and 0,
+  a branch point, otherwise.
 * Homogeneous evaluation.  p and q are integers, so G is two integer
   Horner sums, one per coordinate, with no fraction anywhere.
+  `descent._homogeneous_value`, which `specialize` shares, computes them at
+  (p : q) for each point p/q and at (1 : 0) for infinity.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
   is NoDescent with no big integer involved.  G mod M, M = 7*9*13*19*37 =
@@ -49,13 +53,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .descent import (
-    INFINITY,
     DescentKind,
     _classify_integral,
     _cover_coefficients,
-    _value_at_infinity,
+    _homogeneous_value,
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
-    specialize,
+    specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
 from .eisenstein import _fmt_frac, _format_element
 from .reports import fingerprint, make_document
@@ -66,16 +69,20 @@ if TYPE_CHECKING:
 # numpy is imported by the functions that scan, so that commands which never
 # scan start without it.
 
-__all__ = ["MAX_SEARCH_POINTS", "SearchReport", "enumerate_rationals", "search"]
+__all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 
-# The one bound on the walk, checked against (2H + 1) * H + 1 >= the number of
-# points of height <= H (p in [-H, H], q in [1, H], plus infinity) before it
-# starts.  The largest height it allows is 499, 303,664 points.  There the CLI
-# took 6.2-6.6 s and peaked at 317 MB on t^3 = w z^3, where every finite
-# nonzero point descends and each finding is held until the report is written,
-# and 0.3-0.4 s and 33 MB on t^3 = 3(z^3 + 2), where the modular prefilter
-# rejects all but 1,283 points (2-core x86 VM, Python 3.11, numpy 2.4).
-MAX_SEARCH_POINTS = 500_000
+# The one bound on the walk, checked before it starts against the work
+# ((2H + 1) * H + 1) * (n + 1) for f of degree n: (2H + 1) * H + 1 >= the
+# number of points of height <= H (p in [-H, H], q in [1, H], plus infinity),
+# and the prefilter and the Horner sum take n + 1 steps per point.  At degree 3
+# it allows H <= 499, 303,664 points.  There the CLI took 6.2-6.6 s and peaked
+# at 317 MB on t^3 = w z^3, where every finite nonzero point descends and each
+# finding is held until the report is written, and 0.3-0.4 s and 33 MB on
+# t^3 = 3(z^3 + 2), where the modular prefilter rejects all but 1,283 points.
+# At degree 99 it allows H <= 99, where t^3 = w z^99 took 3.0 s and 60 MB for
+# 6.6 MB of JSON, and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000
+# took 0.5 s and 35 MB (2-core x86 VM, Python 3.11, numpy 2.4).
+MAX_SEARCH_WORK = 2_000_000
 
 
 # The modular prefilter: a perfect cube is a cube residue modulo each of
@@ -214,11 +221,12 @@ class SearchReport:
         return make_document(report, self.params, self.elapsed_s, self.counters)
 
 
-def _classify_points(coeffs, degree: int,
+def _classify_points(scaled, d: int, e: int,
                      height: int) -> tuple[dict[str, int], list[dict], dict[str, int]]:
     """Tally the finite points of height <= `height`; see the module docstring.
 
-    Also returns the counters of the walk: the points, those rejected by the
+    `scaled`, d and e are those of `descent._cover_coefficients`.  Also
+    returns the counters of the walk: the points, those rejected by the
     modular prefilter and by the norm filter, and the `_cube_root` calls.
     """
     import numpy as np
@@ -227,25 +235,12 @@ def _classify_points(coeffs, degree: int,
     no_descent, descends = DescentKind.NO_DESCENT.value, DescentKind.DESCENDS.value
     modular_rejects = 0
     found = []
-    coeffs = coeffs[:degree + 1]
-    d = math.lcm(*(c.den for c in coeffs))
-    d3 = d ** 3
-    # D^3 c_i as integer coordinates, leading coefficient first
-    scaled = [(c.num.a * (d3 // c.den), c.num.b * (d3 // c.den)) for c in reversed(coeffs)]
     residues = [(a % _M, b % _M) for a, b in scaled]
-    (lead_a, lead_b), lower = scaled[0], scaled[1:]
-    e = -(-degree // 3) * 3  # 3 * ceil(n / 3)
     for ps, qs in _point_blocks(height):
         keep = _cube_residue_mask(residues, e, ps, qs)
         modular_rejects += len(ps) - int(np.count_nonzero(keep))
         for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
-            # homogeneous Horner: c_n p^n q^(e-n) first, c_0 q^e last
-            qk = q ** (e - degree)
-            ga, gb = lead_a * qk, lead_b * qk
-            for ca, cb in lower:
-                qk *= q
-                ga = ga * p + ca * qk
-                gb = gb * p + cb * qk
+            ga, gb = _homogeneous_value(scaled, e, p, q)
             kind, root = _classify_integral(ga, gb)
             counts[kind] += 1
             if kind != descends:
@@ -278,24 +273,30 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
     """Classify every rational point of height <= `height`, plus infinity.
 
     `coefficients` lists f of t^3 = f(z) from the constant term up; entries
-    may be integers, Fractions, or elements of Q(w).  A height whose point
-    bound (2H + 1) * H + 1 exceeds MAX_SEARCH_POINTS raises ValueError before
-    any point is walked.
+    may be integers, Fractions, or elements of Q(w).  A height whose work
+    ((2H + 1) * H + 1) * (n + 1) at degree n exceeds MAX_SEARCH_WORK raises
+    ValueError before any point is walked.
     """
     start = time.perf_counter()
-    coeffs, degree = _cover_coefficients(coefficients)
-    bound = (2 * height + 1) * height + 1
-    if height >= 1 and bound > MAX_SEARCH_POINTS:
-        raise ValueError(f"height {height} allows up to {bound} points, "
-                         f"above the bound MAX_SEARCH_POINTS = {MAX_SEARCH_POINTS}")
+    coeffs, scaled, d, e = _cover_coefficients(coefficients)
+    n = len(scaled) - 1
+    work = ((2 * height + 1) * height + 1) * (n + 1)
+    if height >= 1 and work > MAX_SEARCH_WORK:
+        top = math.isqrt(MAX_SEARCH_WORK // (2 * n + 2))
+        while top and ((2 * top + 1) * top + 1) * (n + 1) > MAX_SEARCH_WORK:
+            top -= 1
+        raise ValueError(f"height {height} at degree {n} needs work "
+                         f"((2H + 1) H + 1)(n + 1) = {work}, above the bound "
+                         f"MAX_SEARCH_WORK = {MAX_SEARCH_WORK}; the largest "
+                         f"height allowed at degree {n} is {top}")
 
-    counts, descends, counters = _classify_points(coeffs, degree, height)
-    inf_cls = specialize(coeffs, INFINITY)
-    counts[inf_cls.kind.value] += 1
-    inf_a = _value_at_infinity(coeffs, degree)
+    counts, descends, counters = _classify_points(scaled, d, e, height)
+    ga, gb = _homogeneous_value(scaled, e, 1, 0)  # infinity is (1 : 0)
+    inf_kind = _classify_integral(ga, gb)[0]
+    counts[inf_kind] += 1
     infinity_entry = {
-        "a": None if inf_a is None else str(inf_a),
-        "classification": inf_cls.kind.value,
+        "a": _format_element(ga, gb, d ** 3) if ga or gb else None,
+        "classification": inf_kind,
     }
 
     coeff_strs = tuple(str(c) for c in coeffs)

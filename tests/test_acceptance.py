@@ -168,7 +168,7 @@ def test_acceptance_4_target_cover_search_height_50():
 
 
 def test_acceptance_8_target_cover_search_at_the_point_bound():
-    height = 499  # the largest height MAX_SEARCH_POINTS allows
+    height = 499  # the largest height MAX_SEARCH_WORK allows at degree 3
     with criterion(8, "cover t^3 = 3(z^3+2): no descending point, height <= 499, "
                       "Disconnected = cube numerators 3p^3 + 6q^3 (< 1 s)"):
         code, doc, elapsed = run_cli(

@@ -383,21 +383,31 @@ class TestSearchCommand:
         assert doc["counters"]["points"] == doc["report"]["n_points"] - 1
         assert "counters" not in doc["report"]
 
-    def test_height_above_point_bound_exits_2_before_walking(self, capsys, monkeypatch):
-        height = 500  # (2H + 1) H + 1 = 500,501 > MAX_SEARCH_POINTS
-        assert (2 * height + 1) * height + 1 > search_module.MAX_SEARCH_POINTS \
-            >= (2 * height - 1) * (height - 1) + 1
+    @pytest.mark.parametrize("coeffs,height,work,top", [
+        ("0,0,0,w", 500, 2002004, 499),  # ((2H + 1) H + 1)(n + 1) = 500,501 * 4
+        (",".join(["1"] * 3001), 499, 1496004502, 17),
+    ], ids=["degree-3-H500", "degree-3000-H499"])
+    def test_height_above_work_bound_exits_2_before_walking(self, capsys, monkeypatch,
+                                                            coeffs, height, work, top):
+        n = coeffs.count(",")
+
+        def cost(h):
+            return ((2 * h + 1) * h + 1) * (n + 1)
+
+        assert cost(height) == work > search_module.MAX_SEARCH_WORK >= cost(top)
+        assert cost(top + 1) > search_module.MAX_SEARCH_WORK
 
         def no_walk(*args):
             raise AssertionError("points walked")
 
         monkeypatch.setattr(search_module, "_classify_points", no_walk)
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, "search", "--coeffs", "0,0,0,w",
-                               "--height", str(height))
-        assert time.perf_counter() - start < 0.5
-        assert code == 2
-        assert "MAX_SEARCH_POINTS = 500000" in err and "500501" in err
+        code, out, err = run_cli(capsys, "search", "--coeffs", coeffs, "--height", str(height))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"at degree {n} needs work" in err and str(work) in err
+        assert "MAX_SEARCH_WORK = 2000000" in err
+        assert f"the largest height allowed at degree {n} is {top}" in err
 
 
 class TestDumpSetCommand:

@@ -20,6 +20,7 @@ from eisdescent import (
     is_cube,
     parse_element,
     search,
+    specialize,
 )
 from eisdescent import eisenstein
 from eisdescent.intfactor import icbrt
@@ -131,6 +132,10 @@ class TestSearch:
         ([2, 0, 0, 0, 0, OMEGA], {"a": None, "classification": "Undefined"}),
         ([0, 0, 0, 0, 0, 0, OMEGA], {"a": "1*w", "classification": "Descends"}),
         ([2, 0, 0, 0, 0, 0, 0, 0, 0, 1], {"a": "1", "classification": "Disconnected"}),
+        ([Fraction(1, 2), 0, 0, parse_element("2/3*w")],
+         {"a": "2/3*w", "classification": "NoDescent"}),
+        ([Fraction(1, 2), 0, 0, parse_element("1/8*w")],
+         {"a": "1/8*w", "classification": "Descends"}),
     ])
     def test_infinity_entry_by_degree(self, coeffs, infinity):
         # infinity is a branch point exactly when 3 does not divide the degree;
@@ -179,6 +184,7 @@ DIFFERENTIAL_COVERS = [
     ("1/3+1/2*w,-2/5,0,0,0,0,0,7/9*w", 6),
     ("0,0,0,0,0,0,0,0,0,1", 5),
     ("2,0,0,0,0,0,0,0,0,-1/3*w", 5),
+    ("1/2,0,0,1/8*w", 8),
 ]
 
 
@@ -204,14 +210,22 @@ def reference_value(coeffs, z0):
     return sum((c * z0 ** i for i, c in enumerate(coeffs)), EisensteinRational(0))
 
 
-def reference_search(coeffs, height):
-    """counts, n_points and descends from `composed_classify` point by point."""
-    counts = {kind.value: 0 for kind in DescentKind}
-    descends = []
-    points = list(enumerate_rationals(height)) + [INFINITY]
-    for z0 in points:
+def reference_points(coeffs, height):
+    """(z0, classification) for every point of height <= `height` and infinity,
+    by `composed_classify` on `reference_value`; a branch point is Undefined."""
+    points = []
+    for z0 in list(enumerate_rationals(height)) + [INFINITY]:
         a = reference_value(coeffs, z0)
         cls = DescentClassification(DescentKind.UNDEFINED) if a is None else composed_classify(a)
+        points.append((z0, cls))
+    return points
+
+
+def reference_search(points):
+    """counts, n_points and descends of the points `reference_points` lists."""
+    counts = {kind.value: 0 for kind in DescentKind}
+    descends = []
+    for z0, cls in points:
         counts[cls.kind.value] += 1
         if cls.kind is DescentKind.DESCENDS and z0 is not INFINITY:
             w = cls.witness
@@ -223,12 +237,18 @@ def reference_search(coeffs, height):
 @pytest.mark.parametrize("text,height", DIFFERENTIAL_COVERS)
 def test_search_matches_pointwise_specialize(text, height):
     coeffs = [parse_element(part) for part in text.split(",")]
+    a = reference_value(coeffs, INFINITY)
     for h in (1, height, PAST_FIRST_BLOCK):
         report = search(coeffs, h)
-        counts, n_points, descends = reference_search(coeffs, h)
+        points = reference_points(coeffs, h)
+        for z0, cls in points:
+            assert specialize(coeffs, z0) == cls, z0  # kind and witness
+        counts, n_points, descends = reference_search(points)
         assert report.counts == counts
         assert report.n_points == n_points
         assert list(report.descends) == descends
+        assert report.infinity == {"a": None if a is None else str(a),
+                                   "classification": points[-1][1].kind.value}
 
 
 def refuse_to_factor(*args):
