@@ -13,7 +13,12 @@ output is byte-identical to `json.dumps(document, sort_keys=True, indent=2)`
 plus a newline: json's indented encoding always takes its pure-Python
 encoder, which cost more than classifying the points of an all-Descends
 search.  Strings go through json's C string encoder, other leaves through
-`json.dumps`.
+`json.dumps`.  A list member may instead be a `RenderedList`, whose items
+write their own text, one piece per item, through the same chunking.  A
+`search` document holds its Descends findings as integers this way, so no
+dict of strings is built per finding.  json.dumps cannot encode such a
+document; `dumps_document` writes what json.dumps gives for the same
+document with each item as its dict.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Sequence
 
-__all__ = ["dumps_document", "fingerprint", "make_document"]
+__all__ = ["RenderedList", "dumps_document", "fingerprint", "make_document"]
 
 
 def fingerprint(params: dict) -> str:
@@ -41,6 +47,20 @@ def make_document(report: dict, params: dict, elapsed_s: float,
     if counters is not None:
         document["counters"] = counters
     return document
+
+
+class RenderedList:
+    """A list member whose items render themselves: `render(item, indent)` is
+    the text json.dumps(sort_keys=True, indent=2) writes for the item when
+    `indent` (a line break and the item's indent) precedes it.  The text is
+    written as it is, so any escaping is the renderer's."""
+
+    # a plain class: a dataclass would cost every command about 0.6 ms at import
+    __slots__ = ("items", "render")
+
+    def __init__(self, items: Sequence, render: Callable[[Any, str], str]) -> None:
+        self.items = items
+        self.render = render
 
 
 # Pieces of text are joined into a chunk once this many are pending, checked
@@ -78,15 +98,20 @@ def _write(chunks: list[str], pieces: list[str], value, newline: str) -> None:
             _write(chunks, pieces, value[key], inner)
             sep = "," + inner
         pieces.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
+    elif isinstance(value, (list, tuple, RenderedList)):
+        items, render = ((value.items, value.render) if isinstance(value, RenderedList)
+                         else (value, None))
+        if not items:
             pieces.append("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
-        for item in value:
+        for item in items:
             pieces.append(sep)
-            _write(chunks, pieces, item, inner)
+            if render is None:
+                _write(chunks, pieces, item, inner)
+            else:
+                pieces.append(render(item, inner))
             sep = "," + inner
             if len(pieces) >= _FLUSH_PIECES:
                 chunks.append("".join(pieces))

@@ -38,9 +38,13 @@ and each step is exact:
   A Descends point is checked once, in Z[w]: the form, G^2 conj(G) = r^3 G
   (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
   for f(z) = G/s^3 and x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.
-  Its finding is text built from the same integers: p/q is already in
-  lowest terms, and G/s^3 and G/(r s) are reduced part by part with one gcd
-  each.
+  Its finding is held as those integers (p, q, ga, gb, r), and its text is
+  made from them only when the document is written: `to_document` hands the
+  findings to `reports.dumps_document` as a `RenderedList`, which writes
+  each one as one pre-indented piece of text.  p/q is already in lowest
+  terms, and G/s^3 and G/(r s) are reduced part by part with one gcd each;
+  `_finding_strings` makes these four strings for both the text and the
+  dicts of `SearchReport.descends`.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .descent import (
     specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
 from .eisenstein import _fmt_frac, _format_element
-from .reports import fingerprint, make_document
+from .reports import RenderedList, fingerprint, make_document
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,13 +79,14 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # ((2H + 1) * H + 1) * (n + 1) for f of degree n: (2H + 1) * H + 1 >= the
 # number of points of height <= H (p in [-H, H], q in [1, H], plus infinity),
 # and the prefilter and the Horner sum take n + 1 steps per point.  At degree 3
-# it allows H <= 499, 303,664 points.  There the CLI took 6.2-6.6 s and peaked
-# at 317 MB on t^3 = w z^3, where every finite nonzero point descends and each
-# finding is held until the report is written, and 0.3-0.4 s and 33 MB on
-# t^3 = 3(z^3 + 2), where the modular prefilter rejects all but 1,283 points.
-# At degree 99 it allows H <= 99, where t^3 = w z^99 took 3.0 s and 60 MB for
-# 6.6 MB of JSON, and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000
-# took 0.5 s and 35 MB (2-core x86 VM, Python 3.11, numpy 2.4).
+# it allows H <= 499, 303,664 points.  There the CLI took 2.2-3.0 s and peaked
+# at 181 MB on t^3 = w z^3, where every finite nonzero point descends and each
+# finding is held as its integers until the writer renders it, and 0.2 s and
+# 33 MB on t^3 = 3(z^3 + 2), where the modular prefilter rejects all but 1,283
+# points.  At degree 99 it allows H <= 99, where t^3 = w z^99 took 0.9-1.2 s
+# and 50 MB for 6.6 MB of JSON, and at degree 3000 H <= 17, where
+# f = 1 + z + ... + z^3000 took 0.3 s and 34 MB (2-core x86 VM, Python 3.11,
+# numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000
 
 
@@ -183,23 +188,55 @@ def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return a * c - b * d, a * d + b * c - b * d
 
 
+def _finding_strings(finding: tuple[int, int, int, int, int], d: int,
+                     e: int) -> tuple[str, str, str, str]:
+    """z, a = f(z) and the witness's x and y of the finding (p, q, ga, gb, r),
+    as text; d and e are those of `descent._cover_coefficients`."""
+    p, q, ga, gb, r = finding
+    s = d * q ** (e // 3)
+    rs = r * s
+    return (f"{p}/{q}" if q != 1 else str(p),  # p/q is in lowest terms
+            _format_element(ga, gb, s ** 3),  # f(p/q) = G/s^3
+            _fmt_frac(ga, rs), _fmt_frac(gb, rs))  # x + w y = G/(r s)
+
+
 @dataclass(frozen=True)
 class SearchReport:
     """Classification tally for one cover and height bound.
 
     counts covers the finite points and infinity, so its values sum to
-    n_points; every Descends finding carries its witness and has passed the
-    Galois-commutation identity.
+    n_points; every Descends finding has passed the form check and the
+    Galois-commutation identity.  A finding is held as its integers
+    (p, q, ga, gb, r): the point p/q in lowest terms, G = ga + gb*w and
+    r^3 = N(G).  `scale` is (d, e) of `descent._cover_coefficients`, which
+    with p and q give s = d * q^(e/3), f(p/q) = G/s^3 and the witness G/(r s).
     """
 
     height: int
     coefficients: tuple[str, ...]
     counts: dict[str, int]
     n_points: int
-    descends: tuple[dict, ...]
+    findings: tuple[tuple[int, int, int, int, int], ...]
+    scale: tuple[int, int]
     infinity: dict
     counters: dict[str, int]
     elapsed_s: float
+
+    @property
+    def descends(self) -> tuple[dict, ...]:
+        """Each Descends finding as {"z", "a", "witness": {"x", "y"}}."""
+        texts = (_finding_strings(finding, *self.scale) for finding in self.findings)
+        return tuple({"z": z, "a": a, "witness": {"x": x, "y": y}} for z, a, x, y in texts)
+
+    def _render_finding(self, finding: tuple[int, int, int, int, int], indent: str) -> str:
+        # the text json.dumps(sort_keys=True, indent=2) writes for the dict
+        # `descends` holds; every string is made of [0-9/+*w-], so needs no
+        # escaping
+        z, a, x, y = _finding_strings(finding, *self.scale)
+        i1 = indent + "  "
+        i2 = i1 + "  "
+        return (f'{{{i1}"a": "{a}",{i1}"witness": {{{i2}"x": "{x}",{i2}"y": "{y}"'
+                f'{i1}}},{i1}"z": "{z}"{indent}}}')
 
     @property
     def params(self) -> dict:
@@ -210,24 +247,27 @@ class SearchReport:
         return fingerprint(self.params)
 
     def to_document(self) -> dict:
+        """The search document; its "descends" member is a `RenderedList`
+        that `dumps_document` writes as the list `descends` holds."""
         report = {
             "height": self.height,
             "coefficients": list(self.coefficients),
             "counts": dict(sorted(self.counts.items())),
             "n_points": self.n_points,
-            "descends": list(self.descends),
+            "descends": RenderedList(self.findings, self._render_finding),
             "infinity": self.infinity,
         }
         return make_document(report, self.params, self.elapsed_s, self.counters)
 
 
-def _classify_points(scaled, d: int, e: int,
-                     height: int) -> tuple[dict[str, int], list[dict], dict[str, int]]:
+def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[tuple],
+                                                          dict[str, int]]:
     """Tally the finite points of height <= `height`; see the module docstring.
 
-    `scaled`, d and e are those of `descent._cover_coefficients`.  Also
-    returns the counters of the walk: the points, those rejected by the
-    modular prefilter and by the norm filter, and the `_cube_root` calls.
+    `scaled` and e are those of `descent._cover_coefficients`.  Also returns
+    the Descends findings as (p, q, ga, gb, r) and the counters of the walk:
+    the points, those rejected by the modular prefilter and by the norm
+    filter, and the `_cube_root` calls.
     """
     import numpy as np
 
@@ -252,13 +292,7 @@ def _classify_points(scaled, d: int, e: int,
                 raise AssertionError(f"witness at z={Fraction(p, q)} fails the form check")
             if (g2a * norm, g2b * norm) != _mul(fa, fb, ga, gb):  # G^2 r^3 = conj(G) G^3
                 raise AssertionError(f"witness at z={Fraction(p, q)} fails the Galois identity")
-            s = d * q ** (e // 3)
-            rs = root * s
-            found.append({
-                "z": f"{p}/{q}" if q != 1 else str(p),  # p/q is in lowest terms
-                "a": _format_element(ga, gb, s ** 3),  # f(p/q) = G/s^3
-                "witness": {"x": _fmt_frac(ga, rs), "y": _fmt_frac(gb, rs)},
-            })
+            found.append((p, q, ga, gb, root))
     counts[no_descent] += modular_rejects
     counters = {
         "points": sum(counts.values()),
@@ -290,7 +324,7 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
                          f"MAX_SEARCH_WORK = {MAX_SEARCH_WORK}; the largest "
                          f"height allowed at degree {n} is {top}")
 
-    counts, descends, counters = _classify_points(scaled, d, e, height)
+    counts, findings, counters = _classify_points(scaled, e, height)
     ga, gb = _homogeneous_value(scaled, e, 1, 0)  # infinity is (1 : 0)
     inf_kind = _classify_integral(ga, gb)[0]
     counts[inf_kind] += 1
@@ -305,7 +339,8 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
         coefficients=coeff_strs,
         counts=counts,
         n_points=sum(counts.values()),
-        descends=tuple(descends),
+        findings=tuple(findings),
+        scale=(d, e),
         infinity=infinity_entry,
         counters=counters,
         elapsed_s=time.perf_counter() - start,

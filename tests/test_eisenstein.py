@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from eisdescent import (
 )
 from eisdescent import eisenstein
 from eisdescent.eisenstein import _cube_root
-from eisdescent.intfactor import exact_cbrt
+from eisdescent.intfactor import exact_cbrt, icbrt
 
 W = OMEGA
 
@@ -389,6 +390,47 @@ def test_cube_root_decision_matches_factoring():
             assert EisensteinInt(*root) ** 3 == delta
         seen.add(root is not None)
     assert seen == {True, False}
+
+
+def test_cube_residue_tables_are_the_cube_residues():
+    assert eisenstein._CUBES_MOD_7 == {x ** 3 % 7 for x in range(7)}
+    assert eisenstein._CUBES_MOD_13 == {x ** 3 % 13 for x in range(13)}
+    # _cube_root sends w to 2 and 4 mod 7, to 3 and 9 mod 13
+    for p, roots in ((7, [2, 4]), (13, [3, 9])):
+        assert [x for x in range(p) if (x * x + x + 1) % p == 0] == roots
+
+
+def test_cube_root_matches_brute_force_over_a_box():
+    box = 100
+    cubes = {}
+    for x in range(-8, 9):
+        for y in range(-8, 9):
+            c = EisensteinInt(x, y) ** 3
+            if abs(c.a) <= box and abs(c.b) <= box:
+                cubes[c.a, c.b] = (x, y)
+    # cubes of multiples of 91 = 7 * 13 map to 0 under every residue map,
+    # and so do their products with w, which only the bisection rejects
+    big = []
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            c = EisensteinInt(91 * x, 91 * y) ** 3
+            cubes[c.a, c.b] = (91 * x, 91 * y)
+            big += [c, c * OMEGA, c + EisensteinInt(1, 0), c + EisensteinInt(0, 91 ** 3)]
+    elements = [EisensteinInt(a, b) for a in range(-box, box + 1) for b in range(-box, box + 1)]
+    for g in elements + big:
+        n = icbrt(g.norm())
+        root = _cube_root(g.a, g.b, n)
+        if (g.a, g.b) in cubes:
+            assert root is not None and EisensteinInt(*root) ** 3 == g, g
+        else:
+            assert root is None, g
+
+
+def test_cube_root_rejects_a_residue_miss_before_bisecting():
+    # w p^3 with 7 not dividing p is 2 p^3 or 4 p^3 mod 7, never a cube residue
+    p = 10 ** 30 + 1
+    with mock.patch.object(eisenstein.math, "isqrt", side_effect=AssertionError("bisected")):
+        assert _cube_root(0, p ** 3, p * p) is None
 
 
 coordinate = st.integers(-(2**64), 2**64)

@@ -1,18 +1,25 @@
 """`dumps_document` writes exactly what json.dumps(sort_keys=True, indent=2) does."""
 
 import json
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisdescent import cli, reports
-from eisdescent.reports import dumps_document
+from eisdescent import OMEGA, EisensteinRational, cli, reports, search
+from eisdescent.reports import RenderedList, dumps_document
 
 
 def reference_dumps(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def with_descends_as_dicts(document, report):
+    """`document` with the findings' dicts in place of its `RenderedList`."""
+    assert isinstance(document["report"]["descends"], RenderedList)
+    return {**document, "report": {**document["report"], "descends": list(report.descends)}}
 
 
 # Non-ASCII, quotes, backslashes and control characters all need escaping.
@@ -67,17 +74,77 @@ def test_empty_containers(value):
     ["search", "--coeffs", "6,0,0,3", "--height", "5"],
 ])
 def test_cli_documents_match_json_dumps(monkeypatch, capsys, argv):
-    documents = []
+    documents, searches = [], []
 
     def recording_dumps(document):
         documents.append(document)
         return dumps_document(document)
 
+    def recording_search(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
     monkeypatch.setattr(cli, "dumps_document", recording_dumps)
+    monkeypatch.setattr(cli, "search", recording_search)
     assert cli.main(argv) == 0
     (document,) = documents
+    if argv[0] == "search":
+        # the findings are held as integers; the reference takes their dicts
+        (report,) = searches
+        document = with_descends_as_dicts(document, report)
     assert capsys.readouterr().out == reference_dumps(document)
     if argv[0] == "search":
         assert "counters" in document
         without_counters = {k: v for k, v in document.items() if k != "counters"}
         assert dumps_document(without_counters) == reference_dumps(without_counters)
+
+
+# Arbitrary covers of degree 1..6, and covers c * (z - k)^(3m) * z^j of degree
+# 3m + j in 1..6 with c a non-cube form value times a rational cube: those
+# descend at every z other than 0 and k where z^j is a rational cube, so the
+# findings vary in sign, denominator and w part.
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+qw_elements = st.builds(EisensteinRational.from_coords, small_fractions, small_fractions)
+
+
+@st.composite
+def covers(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        coeffs = draw(st.lists(small_fractions | qw_elements, min_size=n + 1, max_size=n + 1))
+        return coeffs[:-1] + [coeffs[-1] or OMEGA]
+    unit = draw(st.sampled_from([(0, 1), (6, 3), (21, 7)]))  # w, form(2, 1), form(3, 1)
+    u = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+    c = EisensteinRational.from_coords(*unit) * u ** 3
+    m, j = draw(st.sampled_from([(m, j) for m in (0, 1) for j in range(4) if 1 <= 3 * m + j <= 6]))
+    k = draw(small_fractions)
+    base = [c] if m == 0 else [-c * k ** 3, c * 3 * k ** 2, -c * 3 * k, c]
+    return [0] * j + base
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers(), st.integers(1, 9), st.none() | st.integers(1, 8))
+def test_rendered_descends_match_json_dumps(coeffs, height, flush):
+    report = search(coeffs, height)
+    document = report.to_document()
+    reference = reference_dumps(with_descends_as_dicts(document, report))
+    with mock.patch.object(reports, "_FLUSH_PIECES", flush or reports._FLUSH_PIECES):
+        assert dumps_document(document) == reference
+
+
+def test_rendered_descends_cover_negative_points_and_denominators():
+    # findings with p < 0, q > 1 and both parts of a, whatever the strategy draws
+    report = search([0, 0, 0, EisensteinRational.from_coords(Fraction(-3, 4), Fraction(-3, 8))], 4)
+    zs = [finding["z"] for finding in report.descends]
+    assert "-3/4" in zs and "2/3" in zs
+    assert {"a": "-81/256-81/512*w", "witness": {"x": "-3/4", "y": "-3/8"}, "z": "3/4"} \
+        in report.descends
+    document = report.to_document()
+    assert dumps_document(document) == reference_dumps(with_descends_as_dicts(document, report))
+
+
+def test_empty_rendered_list_writes_brackets():
+    report = search([6, 0, 0, 3], 5)
+    assert report.findings == () and report.descends == ()
+    assert '"descends": [],' in dumps_document(report.to_document())
+    assert dumps_document({"a": RenderedList((), None)}) == reference_dumps({"a": []})
