@@ -5,8 +5,8 @@ standing for a + b w with w^2 = -1 - w; it is never an object here, only
 the index a*m + b (m = 3^k) into the ring's 9^k elements.  `ResidueRing`
 holds k, and its constructor is where k is bounded (1 <= k <= MAX_VERIFY_K).
 The image sets needed by the lemma verifier are computed by scanning a
-coordinate grid with numpy, in chunks to bound memory, and stored as a
-dense bitset over those indices: a scan records membership only.  The
+coordinate grid with numpy, in chunks to bound memory, into a bitset over
+those indices; a set keeps only its sorted member indices.  The
 lexicographically first producer of a value, which counterexample reports
 name, is found by `ResidueSet.first_producers`, which scans the grid again
 for just the values asked about.  numpy is imported by the functions that
@@ -16,11 +16,13 @@ CLI) does not load numpy.
 Cubes are scanned over the box z in [0, 3^(k-1))^2 when k >= 2:
 (z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the cross terms carry a factor
 3 * 3^(k-1) and the t^3 term 3^(3(k-1)), with 3(k-1) >= k.  The right-hand
-side 3(z^3 + 2) mod 3^k depends only on z^3 mod 3^(k-1), so for k >= 3 it is
-scanned over [0, 3^(k-2))^2, for k = 2 over [0, 3)^2, and for k = 1, where
-it is 0 for every z, at z = 0 alone.  Reducing both coordinates of z never
-increases them, so the lexicographically first producer always lies in the
-box.
+side is 3y with y = (z^3 + 2) mod 3^(k-1), so z is scanned over the cube box
+of k - 1 ([0, 3)^2 for k = 2; z = 0 alone for k = 1, where y lies in the
+one-element ring) and y recorded in a 9^(k-1) bitset.  Multiplying by 3
+embeds Z[w]/(3^(k-1)) in Z[w]/(3^k) and keeps the order of the indices, so
+3y per coordinate lists the members in order.  Reducing both coordinates
+of z never increases them, so the lexicographically first producer always
+lies in the box.
 
 The form image phi(Z[w]/(3^k)), phi(u) = u^2 conj(u), is not periodic in
 this way and its scan covers the full grid.  Membership in it also has a
@@ -30,6 +32,7 @@ check that only asks whether a few values lie in the image needs no scan.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -50,10 +53,12 @@ __all__ = [
     "rhs_values",
 ]
 
-# The one bound on k.  A scan holds a bool per ring element (43 MB at k = 8) and
-# the int64 member indices; at k = 8 `dump-set form-image` peaks at 160 MB,
-# `verify cube-closure` at 138 MB and `verify no-solution` at 94 MB.
-# Intermediates stay below 9^(k+1) and fit int64.
+# The one bound on k.  A scan holds a bool per element of the ring it records
+# into (43 MB at k = 8 for the form image and cubes, 4.8 MB for the right-hand
+# side, recorded mod 3^(k-1)) and the int64 member indices; at k = 8 `dump-set
+# form-image` peaks at 160 MB, `verify cube-closure` at 128 MB and `verify
+# no-solution` at 49 MB.  The cube map's unreduced values stay below
+# 3 * 3^(3k) <= 3^25 and norms below 3^(2k) <= 3^16, so int64 holds them.
 MAX_VERIFY_K = 8
 _CHUNK_CELLS = 1 << 20
 _CSV_ROWS = 1 << 10  # rows per formatted write; larger chunks hold more ints, no faster
@@ -80,24 +85,23 @@ class ResidueRing:
 
 
 class ResidueSet:
-    """An exhaustively computed subset of Z[w]/(3^k), as a dense bitset.
+    """An exhaustively computed subset of Z[w]/(3^k).
 
     `values` holds the member indices (a*m + b) in increasing order.  The set
-    keeps its scan, value_fn over [0, side)^2, for `first_producers`; a
-    producer index encodes the scan input (x*m + y for the form image, a*m + b
-    of z for the cube and right-hand-side scans).
+    keeps its scan, value_fn over [0, side)^2 into the full ring, for
+    `first_producers`; a producer index encodes the scan input (x*m + y for
+    the form image, a*m + b of z for the cube and right-hand-side scans).
     """
 
-    __slots__ = ("name", "ring", "value_fn", "side", "bitset", "values")
+    __slots__ = ("name", "ring", "value_fn", "side", "values")
 
     def __init__(self, name: str, ring: ResidueRing, value_fn: ValueFn, side: int,
-                 bitset: np.ndarray) -> None:
+                 values: np.ndarray) -> None:
         self.name = name
         self.ring = ring
         self.value_fn = value_fn
         self.side = side
-        self.bitset = bitset
-        self.values = bitset.nonzero()[0]
+        self.values = values
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -112,8 +116,10 @@ class ResidueSet:
 
         if targets.size == 0:
             return np.empty(0, dtype=np.int64)
-        if not self.bitset[targets].all():
-            raise KeyError(f"not in set {self.name}: {targets[~self.bitset[targets]]}")
+        found = np.minimum(np.searchsorted(self.values, targets), self.values.size - 1)
+        member = self.values[found] == targets
+        if not member.all():
+            raise KeyError(f"not in set {self.name}: {targets[~member]}")
         m = self.ring.modulus
         first_producer = np.full(targets.size, self.ring.size, dtype=np.int64)
         for first, second, values in _grid(m, self.value_fn, self.side):
@@ -147,14 +153,19 @@ def _grid(m: int, value_fn: ValueFn, side: int):
         yield first, second, (va * m + vb).ravel()
 
 
-def _scan(name: str, ring: ResidueRing, value_fn: ValueFn, side: int) -> ResidueSet:
-    """The set of values value_fn takes over the grid [0, side)^2."""
+def _members(m: int, value_fn: ValueFn, side: int) -> np.ndarray:
+    """The sorted indices mod m of the values value_fn takes over [0, side)^2."""
     import numpy as np
 
-    bitset = np.zeros(ring.size, dtype=bool)
-    for _, _, values in _grid(ring.modulus, value_fn, side):
+    bitset = np.zeros(m * m, dtype=bool)
+    for _, _, values in _grid(m, value_fn, side):
         bitset[values] = True
-    return ResidueSet(name, ring, value_fn, side, bitset)
+    return bitset.nonzero()[0]
+
+
+def _scan(name: str, ring: ResidueRing, value_fn: ValueFn, side: int) -> ResidueSet:
+    """The set of values value_fn takes over the grid [0, side)^2."""
+    return ResidueSet(name, ring, value_fn, side, _members(ring.modulus, value_fn, side))
 
 
 def _cube_side(k: int) -> int:
@@ -168,12 +179,12 @@ def _form_values(x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.n
     return (x * n) % m, (y * n) % m
 
 
-def _cube_coords(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    a2 = (a * a - b * b) % m
-    b2 = (2 * a * b - b * b) % m
-    va = (a2 * a - b2 * b) % m
-    vb = (a2 * b + b2 * a - b2 * b) % m
-    return va, vb
+def _cube_coords(a: np.ndarray, b: np.ndarray, m: int,
+                 shift: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    # (a + b w)^3 + shift = (a^3 + b^3 - 3 a b^2 + shift) + 3 a b (a - b) w,
+    # reduced once per coordinate (bound at MAX_VERIFY_K).
+    ab = a * b
+    return (a * a * a + b * b * b - 3 * ab * b + shift) % m, (3 * ab * (a - b)) % m
 
 
 def _rhs_coords(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,9 +208,15 @@ def cube_values(ring: ResidueRing) -> ResidueSet:
 
 def rhs_values(ring: ResidueRing) -> ResidueSet:
     """{3(z^3 + 2) : z over the full ring}; a producer index encodes z."""
-    # 3(z^3 + 2) mod 3^k depends only on z^3 mod 3^(k-1) (module docstring).
+    # 3y with y = (z^3 + 2) mod 3^(k-1), scanned over z mod 3^(k-2) (module
+    # docstring); 3^(k-1) = 1 at k = 1.
+    import numpy as np
+
     side = _cube_side(ring.k - 1) if ring.k >= 2 else 1
-    return _scan("rhs", ring, _rhs_coords, side)
+    folded = ring.modulus // 3
+    plus_two = functools.partial(_cube_coords, shift=2)
+    ya, yb = np.divmod(_members(folded, plus_two, side), folded)
+    return ResidueSet("rhs", ring, _rhs_coords, side, 3 * (ya * ring.modulus + yb))
 
 
 # The closed form.  Write pi = 1 + 2w, pi^2 = -3, so that (3^k) = (pi^(2k)), and
@@ -231,13 +248,40 @@ def in_form_image(ring: ResidueRing, values: np.ndarray) -> np.ndarray:
     import numpy as np
 
     a, b = np.divmod(values, ring.modulus)
-    norm = a * a - a * b + b * b
-    top = ring.size  # 3^(2k): only v = 0 has N(v) = 0 (mod 3^(2k))
-    pi_power = np.gcd(norm, top)  # 3^j, j the pi-valuation; top for v = 0
-    valuation_ok = pi_power % 13 == 1  # 3 | j: 3 has order 3 mod 13 (27 = 2*13 + 1)
-    every_unit = 9 * pi_power >= top  # n = 2k - j <= 2
-    unit_norm_ok = (norm // pi_power) % 9 == 1  # N(u) = 1 (mod 9)
-    return (pi_power == top) | (valuation_ok & (every_unit | unit_norm_ok))
+    norm = a * a - a * b + b * b  # below 3^(2k) <= 3^16
+    hi, lo = np.divmod(norm, _CODE_SPAN)
+    codes = _norm_codes()
+    # lo = 0 exactly when 3^8 | N, and then N = 3^8 hi: j = 8 + v3(hi).
+    return _image_by_code(ring.k)[codes[lo] + (lo == 0) * codes[hi]]
+
+
+_CODE_SPAN = 3**8
+
+
+@functools.cache
+def _norm_codes() -> np.ndarray:
+    """9 j + (r / 3^j) mod 9, j = v3(r), for r in [0, 3^8); 72 (j = 8) at r = 0.
+
+    For a norm N = r (mod 3^8) the code gives j = v3(N) and N(u) mod 9
+    whenever j <= 6; at j = 7 only j is exact, and 3 does not divide 7.
+    """
+    import numpy as np
+
+    j = np.zeros(_CODE_SPAN, dtype=np.int64)
+    for i in range(1, 9):
+        j[::3**i] += 1
+    return 9 * j + np.arange(_CODE_SPAN) // 3**j % 9
+
+
+@functools.cache
+def _image_by_code(k: int) -> np.ndarray:
+    """Membership of v in the image mod 3^k by the code 9 j + N(u) mod 9 of N(v)."""
+    import numpy as np
+
+    j, unit_norm = np.divmod(np.arange(9 * 17), 9)  # j = 16 for N = 0
+    zero = j >= 2 * k  # only v = 0 has N(v) = 0 (mod 3^(2k))
+    every_unit = j >= 2 * k - 2  # n = 2k - j <= 2
+    return zero | ((j % 3 == 0) & (every_unit | (unit_norm == 1)))
 
 
 def form_image_size(ring: ResidueRing) -> int:

@@ -89,13 +89,25 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
 
 
 @linux_only
-def test_verify_k8_peak_rss_under_150_mb():
+def test_verify_k8_peak_rss_under_75_mb():
     # No 9^k scan of the form image: membership is decided in closed form, and
-    # the right-hand side is scanned over a 3^6 box into one 43 MB bitset
-    # (about 94 MB for the process; the form-image scan peaked at 260 MB).
+    # the right-hand side, 3 (z^3 + 2) mod 3^8, is recorded mod 3^7 in a 4.8 MB
+    # bitset (about 50 MB for the process; 92 MB with a 9^8 bitset, 260 MB
+    # with the form-image scan).
     out, _, peak_mb = run_fresh("verify", "no-solution", "--k", "8")
     assert json.loads(out)["report"]["holds"] is True
-    assert peak_mb < 150
+    assert peak_mb < 75
+
+
+@linux_only
+def test_dump_rhs_k8_peak_rss_under_75_mb(tmp_path):
+    # The same scan as verify's, then the 122,643 members written as CSV.
+    path = tmp_path / "rhs8.csv"
+    out, _, peak_mb = run_fresh("dump-set", "rhs", "--k", "8", "--path", str(path))
+    assert json.loads(out)["report"]["size"] == 122_643
+    with open(path, "rb") as fh:
+        assert sum(1 for _ in fh) == 122_644  # header and rows
+    assert peak_mb < 75
 
 
 @linux_only

@@ -43,7 +43,7 @@ def members(image):
 
 
 def has(image, a, b):
-    return bool(image.bitset[a * image.ring.modulus + b])
+    return a * image.ring.modulus + b in image.values
 
 
 def test_ring_validation():
@@ -123,7 +123,7 @@ class TestImageSets:
 
     def test_first_producers_reject_non_members(self):
         image = cube_values(ResidueRing(2))
-        outside = int(np.flatnonzero(~image.bitset)[0])
+        outside = int(np.setdiff1d(np.arange(image.ring.size), image.values)[0])
         with pytest.raises(KeyError):
             image.first_producers(np.array([outside]))
         with pytest.raises(KeyError):
@@ -156,7 +156,7 @@ class TestClosedFormImage:
         ring = ResidueRing(k)
         image = descent_form_image(ring)
         every = np.arange(ring.size, dtype=np.int64)
-        assert np.array_equal(in_form_image(ring, every), image.bitset)
+        assert np.array_equal(np.flatnonzero(in_form_image(ring, every)), image.values)
         assert form_image_size(ring) == len(image)
 
     def test_k7_size_and_members(self):
@@ -169,6 +169,43 @@ class TestClosedFormImage:
         sizes = [form_image_size(ResidueRing(k)) for k in range(1, 9)]
         assert sizes == [7, 21, 169, 1519, 13629, 122641, 1103767, 9933861]
 
+    @pytest.mark.parametrize("k", (7, 8))
+    def test_predicate_equals_gcd_formula_at_every_valuation(self, k):
+        # pi^j e for j = 0..2k-1 and units e from a box, 0, and random elements;
+        # each norm's 3-valuation is j, so both lookups of the norm table run.
+        ring = ResidueRing(k)
+        m = ring.modulus
+        units = [(a, b) for a in range(12) for b in range(12) if (a * a - a * b + b * b) % 3]
+        values, power = [0], (1, 0)
+        for j in range(2 * k):
+            values += [a * m + b for a, b in (mul(power, e, m) for e in units)]
+            power = mul(power, (1, 2), m)  # times pi = 1 + 2w
+        values = np.array(values + list(np.random.default_rng(k).integers(0, ring.size, 5000)))
+        a, b = np.divmod(values, m)
+        norm = a * a - a * b + b * b
+        assert {v3(int(n)) for n in norm[1:1 + 2 * k * len(units)]} == set(range(2 * k))
+        assert np.array_equal(in_form_image(ring, values), gcd_formula(ring, values))
+        assert in_form_image(ring, values[:1])[0]  # v = 0
+
+
+def v3(n):
+    j = 0
+    while n % 3 == 0:
+        n, j = n // 3, j + 1
+    return j
+
+
+def gcd_formula(ring, values):
+    """The closed form with the 3-valuation of the norm taken by a gcd."""
+    a, b = np.divmod(values, ring.modulus)
+    norm = a * a - a * b + b * b
+    top = ring.size  # 3^(2k)
+    pi_power = np.gcd(norm, top)  # 3^j; top for v = 0
+    valuation_ok = np.isin(pi_power, [3 ** j for j in range(0, 2 * ring.k, 3)])
+    every_unit = 9 * pi_power >= top
+    unit_norm_ok = (norm // pi_power) % 9 == 1
+    return (pi_power == top) | (valuation_ok & (every_unit | unit_norm_ok))
+
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_rhs_box_scan_equals_full_ring_scan(k):
@@ -176,8 +213,17 @@ def test_rhs_box_scan_equals_full_ring_scan(k):
     box = rhs_values(ring)
     full = residues._scan("rhs", ring, residues._rhs_coords, ring.modulus)
     assert box.side == {1: 1, 2: 3}.get(k, 3 ** (k - 2))
-    assert np.array_equal(box.bitset, full.bitset)
+    assert np.array_equal(box.values, full.values)
     assert np.array_equal(box.first_producers(box.values), full.first_producers(full.values))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_rhs_is_three_times_shifted_cubes_one_level_down(k):
+    # 3(z^3 + 2) mod 3^k = 3 y, y = (z^3 + 2) mod 3^(k-1), coordinate by coordinate
+    m, lower = 3**k, 3 ** (k - 1)
+    ca, cb = np.divmod(cube_values(ResidueRing(k - 1)).values, lower)
+    expected = np.sort(3 * ((ca + 2) % lower) * m + 3 * cb)
+    assert np.array_equal(rhs_values(ResidueRing(k)).values, expected)
 
 
 def test_csv_dump(tmp_path):
