@@ -111,6 +111,19 @@ def test_dump_rhs_k8_peak_rss_under_75_mb(tmp_path):
 
 
 @linux_only
+def test_dump_form_image_k8_peak_rss_under_180_mb(tmp_path):
+    # The 9^8 scan's 43 MB bitset and its 9,933,861 int64 members (79 MB),
+    # then the rows gathered in chunks of residues._CSV_ROWS: about 160 MB.
+    path = tmp_path / "image8.csv"
+    out, _, peak_mb = run_fresh("dump-set", "form-image", "--k", "8", "--path", str(path))
+    assert json.loads(out)["report"]["size"] == 9_933_861
+    with open(path, "rb") as fh:
+        assert sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b"")) \
+            == 9_933_862  # header and rows
+    assert peak_mb < 180
+
+
+@linux_only
 def test_all_descends_search_h250_peak_rss_under_140_mb():
     # Every finite nonzero point descends and each finding is held as its
     # integers (p, q, ga, gb, r) until the writer renders it: about 67 MB for

@@ -236,10 +236,31 @@ def test_csv_dump(tmp_path):
     rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
     assert rows == sorted(rows)
     assert set(rows) == members(cubes)
-    # one partial chunk (7 rows), and several chunks ending in a partial one
+    # one partial chunk (these 7 rows), and several chunks ending in a partial
+    # one (the 122,641 form-image rows at k = 6, written below)
     assert 7 < residues._CSV_ROWS < 122_641 // 2 and 122_641 % residues._CSV_ROWS
-    for image in (descent_form_image(ring), descent_form_image(ResidueRing(6))):
-        image.write_csv(str(path))
-        m = image.ring.modulus
-        plain = "".join(f"{v // m},{v % m}\n" for v in image.values.tolist())
-        assert path.read_text() == f"# ring=3^{image.ring.k} set=form-image\n" + plain
+    assert form_image_size(ResidueRing(6)) == 122_641
+
+
+@pytest.mark.parametrize("scan, k", [(cube_values, k) for k in range(1, MAX_VERIFY_K + 1)]
+                         + [(rhs_values, k) for k in range(1, MAX_VERIFY_K + 1)]
+                         + [(descent_form_image, k) for k in range(1, 7)])
+def test_csv_bytes_equal_plain_formatting(tmp_path, scan, k):
+    # 1- to 4-digit coordinates; several chunks and a partial last one for the
+    # form image at k = 6, the cubes from k = 7 and the right-hand side at 8.
+    # Compared as bytes: pytest explains a str mismatch by a line diff, which
+    # takes minutes on texts this long.
+    image = scan(ResidueRing(k))
+    path = tmp_path / "set.csv"
+    image.write_csv(str(path))
+    m = 3**k
+    plain = "".join(f"{v // m},{v % m}\n" for v in image.values.tolist())
+    assert path.read_bytes() == f"# ring=3^{k} set={image.name}\n{plain}".encode("ascii")
+
+
+@pytest.mark.parametrize("k", range(1, MAX_VERIFY_K + 1))
+def test_decimal_table_rows_spell_their_index(k):
+    table = residues._decimal_table(3**k)
+    assert table.shape == (3**k, len(str(3**k - 1)))
+    assert [bytes(row).rstrip(b"\0").decode("ascii") for row in table] == \
+        [str(v) for v in range(3**k)]
