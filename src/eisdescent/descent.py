@@ -127,24 +127,31 @@ def descent_form_preimage(a) -> Optional[DescentWitness]:
     N(form(x, y)) = N(x + w y)^3, so N(a) must be the cube of a rational
     r >= 0, and the only candidate is x + w y = a / r.  Conversely, every
     nonzero a whose norm is a rational cube r^3 is a form value: N(a/r) =
-    N(a)/r^2 = r, so form(a/r) = (a/r) * r = a.  So a has a preimage exactly
-    when N(a) is a rational cube; `DescentWitness` evaluates the form on it.
-    For a = 0 the preimage is (0, 0).
+    N(a)/r^2 = r, so form(a/r) = (a/r) * r = a.  N(a) = N(G)/den^6 for
+    G = den^3 a in Z[w], so it is a rational cube exactly when the integer
+    N(G) is a perfect cube R^3, and then a/r = G/(R den); `DescentWitness`
+    evaluates the form on it.  For a = 0 the preimage is (0, 0).
     """
+    a, ga, gb = _cleared(a, "descent_form_preimage expects an element of Q(w)")
+    r = exact_cbrt(ga * ga - ga * gb + gb * gb)
+    if r is None:
+        return None
+    return _witness(a, ga, gb, r) if r else DescentWitness(0, 0, a)
+
+
+def _cleared(a, error: str) -> tuple[EisensteinRational, int, int]:
+    """a in Q(w) as (a, ga, gb): G = ga + gb*w = den^3 a = num den^2 is in
+    Z[w] for a = num/den.  Raises TypeError(error) for anything else."""
     a = _as_rational_element(a)
     if a is None:
-        raise TypeError("descent_form_preimage expects an element of Q(w)")
-    if not a:
-        return DescentWitness(Fraction(0), Fraction(0), EisensteinRational(0))
-    n = a.norm()
-    rn = exact_cbrt(n.numerator)
-    if rn is None:
-        return None
-    rd = exact_cbrt(n.denominator)
-    if rd is None:
-        return None
-    x, y = (a / Fraction(rn, rd)).coords
-    return DescentWitness(x, y, a)
+        raise TypeError(error)
+    den = a.den
+    return a, a.num.a * den * den, a.num.b * den * den
+
+
+def _witness(a, ga: int, gb: int, r: int) -> DescentWitness:
+    """The witness x + w y = G/(r den) of a = G/den^3, where r^3 = N(G) > 0."""
+    return DescentWitness(Fraction(ga, r * a.den), Fraction(gb, r * a.den), a)
 
 
 def _classify_integral(ga: int, gb: int) -> tuple[str, int]:
@@ -184,15 +191,9 @@ def classify(a) -> DescentClassification:
     """
     if a is INFINITY:
         return DescentClassification(DescentKind.UNDEFINED)
-    a = _as_rational_element(a)
-    if a is None:
-        raise TypeError("classify expects an element of Q(w) or INFINITY")
-    den = a.den
-    ga, gb = a.num.a * den * den, a.num.b * den * den
+    a, ga, gb = _cleared(a, "classify expects an element of Q(w) or INFINITY")
     kind, r = _classify_integral(ga, gb)
-    witness = None
-    if kind == "Descends":
-        witness = DescentWitness(Fraction(ga, r * den), Fraction(gb, r * den), a)
+    witness = _witness(a, ga, gb, r) if kind == "Descends" else None
     return DescentClassification(DescentKind(kind), witness)
 
 
@@ -263,14 +264,17 @@ def _cover_coefficients(coefficients: Sequence) -> tuple[list, list, int, int]:
     return coeffs, scaled, d, -(-degree // 3) * 3
 
 
-def _homogeneous_value(scaled, e: int, p: int, q: int) -> tuple[int, int]:
+def _homogeneous_value(scaled, e: int, p, q, m: int = 0) -> tuple:
     """G(p, q) = sum of D^3 c_i p^i q^(e-i), the cover at the point (p : q) of P^1.
 
     scaled and e are those of `_cover_coefficients`.  G is homogeneous of
     degree e, a multiple of 3.  At p/q, G = (D q^(e/3))^3 f(p/q) is f(p/q)
     times a cube, so it has the classification of f(p/q).  At infinity,
     (1 : 0), G = D^3 c_e: D^3 times the leading coefficient when 3 | n, and
-    0 (a branch point) otherwise.
+    0 (a branch point) otherwise.  With m > 0 each step is reduced mod m, so
+    the same loop gives G mod m on int64 arrays of points for `search`'s
+    prefilter; p, q and scaled must then lie in [0, m), and for m <= 2^20 no
+    value reaches 2^60 (c_e q^(e-n) and q^(e-n+1) with e - n <= 2).
     """
     ga = gb = 0
     qk = q ** (e + 1 - len(scaled))  # q^(e-n), then one more q per term
@@ -278,6 +282,8 @@ def _homogeneous_value(scaled, e: int, p: int, q: int) -> tuple[int, int]:
         ga = ga * p + ca * qk
         gb = gb * p + cb * qk
         qk *= q
+        if m:
+            ga, gb, qk = ga % m, gb % m, qk % m
     return ga, gb
 
 

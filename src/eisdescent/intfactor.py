@@ -11,15 +11,23 @@ their product, _PRIMORIAL (built once at import), names the ones that
 divide n, and only those are divided out.  Brent's variant of Pollard rho
 splits what is left, with a deterministic Miller-Rabin test to decide when
 to stop.  Rho's work grows like the square root of the cofactor's
-smallest prime factor, so each rho split gives up with ValueError after
-RHO_STEPS = 2^22 modular squarings: 2.5-3.3 s on a 96-bit cofactor on a
-2-core x86 VM (Python 3.11), where products of two random primes took
-0.06 s at 64 bits, 0.7-1.1 s at 80 bits and 0.7-1.4 s at 88 bits, and two
-at 96 bits gave up.  A call makes fewer splits than it has prime factors
-above TRIAL_LIMIT (with multiplicity), so its rho work is at most RHO_STEPS
-times that count.  A prime already found is divided out of every later
-cofactor, and a perfect power r^k is reduced to r before any rho run, so
-repeated primes, as in (pq)^3, cost one split, not one per copy.
+smallest prime factor, and the cost of one step (a modular squaring and a
+product) with the cofactor's size.  So each rho split may spend
+RHO_STEPS = 2^22 units, a step on a b-bit cofactor costing ceil(b/128)^2
+of them: 2^22 steps up to 128 bits, 2^20 up to 256 and 1,551 at 6,643
+bits.  Past that it gives up with ValueError, whose message names the
+bound.  On a 2-core x86 VM (Python 3.11), products of two random primes
+split in 0.01-0.06 s at 64 bits and 0.2-1.0 s at 80 bits; at 88 bits
+three split in 0.2-1.5 s and four gave up after 1.7-2.6 s.  Rho gave up
+after 2.2-3.1 s at 96 bits, 2.2 s at 128, 0.6-1.2 s from 136 to 256 bits,
+0.4 s at 400 and 0.2 s at 1,600.  A call makes fewer splits than it has
+prime factors above TRIAL_LIMIT (with multiplicity), so its rho work is at
+most RHO_STEPS units times that count.  Each cofactor also gets one
+Miller-Rabin test and one perfect-power test before its split, about 1 s
+and 0.16 s at 6,643 bits, so `factor` on a random 1,000-digit element
+exits 2 after 1.1-2.4 s.  A prime already found is divided out of every
+later cofactor, and a perfect power r^k is reduced to r before any rho
+run, so repeated primes, as in (pq)^3, cost one split, not one per copy.
 """
 
 from __future__ import annotations
@@ -74,7 +82,10 @@ def is_probable_prime(n: int) -> bool:
 def _brent_rho(n: int, rng: Random) -> int:
     """One nontrivial factor of composite odd n (Brent's cycle finding).
 
-    Raises ValueError rather than pass RHO_STEPS modular squarings."""
+    Raises ValueError rather than spend more than the RHO_STEPS units, where
+    a step on a b-bit n costs ceil(b/128)^2 of them."""
+    size = -(-n.bit_length() // 128)
+    limit = RHO_STEPS // (size * size)
     steps = 0
     while True:
         y = rng.randrange(1, n)
@@ -82,9 +93,11 @@ def _brent_rho(n: int, rng: Random) -> int:
         m = 128
         g = r = q = 1
         while g == 1:
-            if steps + 2 * r > RHO_STEPS:  # a round costs at most 2r squarings
+            if steps + 2 * r > limit:  # a round costs at most 2r squarings
                 raise ValueError(f"factoring gave up on a {n.bit_length()}-bit "
-                                 f"cofactor after {steps} rho steps")
+                                 f"cofactor after {steps} rho steps: a step on it "
+                                 f"costs {size * size} of the RHO_STEPS = {RHO_STEPS} "
+                                 f"units a split may spend")
             steps += 2 * r
             x = y
             for _ in range(r):
@@ -158,7 +171,11 @@ def factor_int(n: int) -> dict[int, int]:
 def _perfect_power(m: int) -> tuple[int, int]:
     """(r, k) with m = r^k and k >= 2 least, or (m, 1), for m free of primes
     up to TRIAL_LIMIT: then r > TRIAL_LIMIT >= 2^13, which bounds k."""
-    for k in range(2, m.bit_length() // (TRIAL_LIMIT.bit_length() - 1) + 1):
+    # the least such k is prime, as r^(ab) = (r^b)^a; _SMALL_PRIMES runs past
+    # the bound on k for every m below 2^130,000
+    for k in _SMALL_PRIMES:
+        if k > m.bit_length() // (TRIAL_LIMIT.bit_length() - 1):
+            break
         r = iroot(m, k)
         if r**k == m:
             return r, k

@@ -18,15 +18,16 @@ and each step is exact:
   G = D^3 c_e: D^3 times the leading coefficient when 3 divides n, and 0,
   a branch point, otherwise.
 * Homogeneous evaluation.  p and q are integers, so G is two integer
-  Horner sums, one per coordinate, with no fraction anywhere.
-  `descent._homogeneous_value`, which `specialize` shares, computes them at
-  (p : q) for each point p/q and at (1 : 0) for infinity.
+  Horner sums, one per coordinate, with no fraction anywhere.  One
+  evaluator, `descent._homogeneous_value`, serves `specialize`, `search`
+  and the prefilter below, at (p : q) for each point p/q and at (1 : 0)
+  for infinity.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
   is NoDescent with no big integer involved.  G mod M, M = 7*9*13*19*37 =
-  575,757, depends only on p and q mod M, so the Horner sums and the norm
-  run in int64 over a block of points in one numpy pass; every product is
-  below 2^40 at any height.  Points come in blocks of whole heights in the
+  575,757, depends only on p and q mod M, so the evaluator reduced mod M
+  at each step and the norm run in int64 over a block of points in one
+  numpy pass, all below 2^60.  Points come in blocks of whole heights in the
   order of `enumerate_rationals`, so the survivors reach the exact path in
   report order.  numpy is imported by the functions that build and filter
   the blocks, not by the module, so importing it does not load numpy.
@@ -91,9 +92,9 @@ MAX_SEARCH_WORK = 2_000_000
 
 
 # The modular prefilter: a perfect cube is a cube residue modulo each of
-# _MODULI.  Residues mod their product _M = 575,757 stay below 2^20, so every
-# product of two in the int64 Horner sums is below 2^40.  One small table per
-# modulus marks its cube residues.
+# _MODULI.  Residues mod their product _M = 575,757 stay below 2^20, so the
+# int64 Horner sums of `descent._homogeneous_value` stay below 2^60.  One
+# small table per modulus marks its cube residues.
 _MODULI = (7, 9, 13, 19, 37)
 _M = math.prod(_MODULI)
 
@@ -166,16 +167,7 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
     """
     import numpy as np
 
-    p, q = p % _M, q % _M
-    qk = np.ones_like(q)
-    for _ in range(e + 1 - len(residues)):  # q^(e-n), n + 1 coefficients
-        qk = qk * q % _M
-    (lead_a, lead_b), lower = residues[0], residues[1:]
-    ga, gb = lead_a * qk % _M, lead_b * qk % _M
-    for ca, cb in lower:
-        qk = qk * q % _M
-        ga = (ga * p + ca * qk) % _M
-        gb = (gb * p + cb * qk) % _M
+    ga, gb = _homogeneous_value(residues, e, p % _M, q % _M, _M)
     norm = ga * ga - ga * gb + gb * gb  # >= 0, below 2^40
     mask = np.ones(p.shape, dtype=bool)
     for m, table in zip(_MODULI, _cube_residues()):

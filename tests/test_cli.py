@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from types import FunctionType
 
 import pytest
 
-from eisdescent import EisensteinInt, cli, descent_form, eisenstein, intfactor
+from eisdescent import EisensteinInt, cli, descent_form, eisenstein, intfactor, parse_element
 from eisdescent.cli import main
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -309,6 +310,33 @@ class TestFactorCommand:
         assert out == ""
         # the norm (pq)^2 is a perfect square, so rho runs on the 64-bit pq
         assert err.startswith("error: factoring gave up on a 64-bit cofactor")
+
+
+    def test_sixty_bit_prime_norm_factors_as_itself(self, capsys):
+        a = 1 << 29
+        b = next(b for b in range(2 * a, 3 * a) if intfactor.is_probable_prime(a * a - a * b + b * b))
+        assert (a * a - a * b + b * b).bit_length() == 60
+        code, doc, _ = run_json(capsys, "factor", f"{a}+{b}*w")
+        assert code == 0
+        (entry,) = doc["report"]["factors"]
+        assert entry["exponent"] == 1 and EisensteinInt(a, b).norm() == \
+            parse_element(entry["prime"]).norm()
+
+    def test_thousand_digit_element_ends_within_the_rho_bound(self):
+        # Its norm has about 6,600 bits, so a rho step costs ceil(bits/128)^2 =
+        # 2704 units of RHO_STEPS and the split gives up after 1,022 steps; the
+        # command took 1.1-2.4 s on 2-core x86 VMs for eight such seeds, about
+        # half of it one Miller-Rabin round and the perfect-power test.
+        rng = random.Random(1000)
+        a, b = (rng.randrange(10**999, 10**1000) for _ in range(2))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eisdescent", "factor", "--", f"{a}+{b}*w"],
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode in (0, 2), proc.stderr
+        if proc.returncode == 2:
+            assert proc.stdout == ""
+            assert "RHO_STEPS" in proc.stderr
 
 
 def without_elapsed(out):

@@ -133,6 +133,48 @@ def test_every_element_with_cube_norm_has_a_preimage(a):
     assert form_by_direct_product(w.x, w.y) == a
 
 
+def preimage_from_rational_norm(a):
+    """(x, y) = a / N(a)^(1/3) from the rational norm of a, or None: the
+    reference for the integer path of `descent_form_preimage`."""
+    if isinstance(a, Fraction):
+        a = EisensteinRational.from_coords(a, 0)
+    if not a:
+        return Fraction(0), Fraction(0)
+    n = a.norm()
+    rn, rd = exact_cbrt(n.numerator), exact_cbrt(n.denominator)
+    if rn is None or rd is None:
+        return None
+    return (a / Fraction(rn, rd)).coords
+
+
+digits_1000 = st.integers(10**999, 10**1000 - 1)
+digits_333 = st.integers(-10**333, 10**333)
+preimage_values = st.one_of(
+    st.just(EisensteinRational(0)),
+    cube_norm_elements(),
+    st.builds(EisensteinRational.from_coords, st.fractions(max_denominator=10**6),
+              st.fractions(max_denominator=10**6)),
+    st.fractions(max_denominator=10**6),  # rationals: a preimage only for cubes
+    st.builds(lambda c: c ** 3, st.fractions(max_denominator=10**6)),
+    st.builds(lambda a, b: EisensteinRational(EisensteinInt(a, b)), digits_1000, digits_1000),
+    st.builds(lambda x, y, d: descent_form(Fraction(x, d), Fraction(y, d)),
+              digits_333, digits_333, st.integers(1, 10**20)),
+    st.builds(lambda x, y, u: EisensteinRational(EisensteinInt(x, y) ** 3 * u),
+              digits_333, digits_333, st.sampled_from(UNITS)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(preimage_values)
+def test_preimage_matches_rational_norm_and_classify_witness(a):
+    w = descent_form_preimage(a)
+    assert (None if w is None else (w.x, w.y)) == preimage_from_rational_norm(a)
+    cls = classify(a)
+    assert (w is None) == (cls.kind is DescentKind.NO_DESCENT)
+    if cls.kind is DescentKind.DESCENDS:
+        assert w == cls.witness
+
+
 class TestWitness:
     def test_witness_validated_on_construction(self):
         value = descent_form(2, 1)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 
 import pytest
@@ -114,6 +115,20 @@ def test_rho_budget_raises_fast(monkeypatch):
     with pytest.raises(ValueError, match="64-bit cofactor"):
         factor_int(SEMIPRIME_64)
     assert time.perf_counter() - start < 1.0
+
+
+def test_rho_step_is_charged_by_the_cofactor_size(monkeypatch):
+    # two 150-bit primes: a step on their product costs ceil(bits/128)^2 = 9
+    rng = random.Random(300)
+    p, q = (next(n for n in iter(lambda: rng.getrandbits(150) | 1 << 149 | 1, 0)
+                 if is_probable_prime(n)) for _ in range(2))
+    assert 257 <= (p * q).bit_length() <= 384
+    monkeypatch.setattr(intfactor, "RHO_STEPS", 9 * 1000)
+    with pytest.raises(ValueError) as err:
+        factor_int(p * q)
+    spent = re.search(r"after (\d+) rho steps: a step on it costs 9 of the "
+                      r"RHO_STEPS = 9000 units", str(err.value))
+    assert spent and int(spent[1]) <= 1000
 
 
 def test_repeated_primes_cost_one_rho_split(monkeypatch):

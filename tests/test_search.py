@@ -2,6 +2,7 @@ import importlib
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from eisdescent import (
     specialize,
 )
 from eisdescent import eisenstein
+from eisdescent.descent import _homogeneous_value
 from eisdescent.intfactor import icbrt
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -364,6 +366,29 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
             if not keep:
                 root = icbrt(norm)
                 assert root ** 3 != norm, pq
+
+
+@pytest.mark.parametrize("degree", range(1, 10))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_modular_and_exact_evaluation_agree_mod_m(degree, data):
+    # one Horner loop serves both: exact on Python ints, and reduced mod _M at
+    # every step on the int64 arrays of the prefilter
+    scaled = data.draw(covers(degree))
+    e = -(-degree // 3) * 3
+    m = search_module._M
+    residues = [(a % m, b % m) for a, b in scaled]
+    points = data.draw(st.lists(st.tuples(st.integers(-499, 499), st.integers(1, 499)),
+                                min_size=1, max_size=40))
+    points += [(-499, 499), (499, 1), (1, 0)]  # the largest coordinates, and infinity
+    p, q = (np.array(column, dtype=np.int64) for column in zip(*points))
+    ga, gb = _homogeneous_value(residues, e, p % m, q % m, m)
+    assert ga.dtype == gb.dtype == np.int64
+    for i, (pi, qi) in enumerate(points):
+        xa, xb = _homogeneous_value(scaled, e, pi, qi)
+        assert xa * xa - xa * xb + xb * xb == norm_of_g(scaled, e, pi, qi)
+        assert (int(ga[i]), int(gb[i])) == (xa % m, xb % m), (pi, qi)
+        assert _homogeneous_value(residues, e, pi % m, qi % m, m) == (xa % m, xb % m)
 
 
 def test_cube_residue_tables_mark_exactly_the_cubes_and_are_built_once():
