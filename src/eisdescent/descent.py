@@ -29,6 +29,7 @@ from .eisenstein import (
     EisensteinInt,
     EisensteinRational,
     _as_rational_element,
+    _cleared,
     _cube_root,
     is_cube,  # unused here; perfbench/tracer.py binds descent.is_cube
 )
@@ -137,16 +138,6 @@ def descent_form_preimage(a) -> Optional[DescentWitness]:
     if r is None:
         return None
     return _witness(a, ga, gb, r) if r else DescentWitness(0, 0, a)
-
-
-def _cleared(a, error: str) -> tuple[EisensteinRational, int, int]:
-    """a in Q(w) as (a, ga, gb): G = ga + gb*w = den^3 a = num den^2 is in
-    Z[w] for a = num/den.  Raises TypeError(error) for anything else."""
-    a = _as_rational_element(a)
-    if a is None:
-        raise TypeError(error)
-    den = a.den
-    return a, a.num.a * den * den, a.num.b * den * den
 
 
 def _witness(a, ga: int, gb: int, r: int) -> DescentWitness:

@@ -59,9 +59,9 @@ def _format_element(an: int, bn: int, den: int) -> str:
     return s
 
 
-def _round_nearest(p: int, q: int) -> int:
-    """Nearest integer to p/q for q > 0 (ties round up)."""
-    return (2 * p + q) // (2 * q)
+def _mul(a, b, c, d):
+    """(a + b w)(c + d w), w^2 = -1 - w, as coordinates: ints or int64 arrays."""
+    return a * c - b * d, a * d + b * c - b * d
 
 
 class EisensteinInt:
@@ -128,9 +128,7 @@ class EisensteinInt:
         other = _as_int_element(other)
         if other is None:
             return NotImplemented
-        # (a + b w)(c + d w) with w^2 = -1 - w
-        a, b, c, d = self._a, self._b, other._a, other._b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
+        return EisensteinInt(*_mul(self._a, self._b, other._a, other._b))
 
     __rmul__ = __mul__
 
@@ -165,9 +163,9 @@ class EisensteinInt:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero in Z[w]")
-        t = self * other.conj()
+        ta, tb = _mul(self._a, self._b, other._a - other._b, -other._b)  # self conj(other)
         d = other.norm()
-        q = EisensteinInt(_round_nearest(t._a, d), _round_nearest(t._b, d))
+        q = EisensteinInt((2 * ta + d) // (2 * d), (2 * tb + d) // (2 * d))  # ties round up
         r = self - q * other
         return q, r
 
@@ -353,6 +351,15 @@ def _as_rational_element(x) -> EisensteinRational | None:
     return None
 
 
+def _cleared(a, error: str) -> tuple[EisensteinRational, int, int]:
+    """a in Q(w) as (a, ga, gb): G = ga + gb*w = den^3 a = num den^2 is in
+    Z[w] for a = num/den.  Raises TypeError(error) for anything else."""
+    a = _as_rational_element(a)
+    if a is None:
+        raise TypeError(error)
+    return a, a.num.a * a.den ** 2, a.num.b * a.den ** 2
+
+
 def canonical_associate(alpha: EisensteinInt) -> EisensteinInt:
     """The canonical representative among the six associates of alpha != 0.
 
@@ -395,13 +402,16 @@ def pi_valuation(alpha: EisensteinInt) -> tuple[int, EisensteinInt]:
 
 
 def _strip(alpha: EisensteinInt, prime: EisensteinInt) -> tuple[int, EisensteinInt]:
-    """(e, cofactor) with alpha = prime^e * cofactor and prime not dividing cofactor."""
+    """(e, cofactor) with alpha = prime^e * cofactor and prime not dividing cofactor;
+    prime divides a + b*w iff N(prime) divides both coordinates of (a + b*w) conj(prime)."""
+    a, b = alpha.a, alpha.b
+    c, d, n = prime.a - prime.b, -prime.b, prime.norm()  # conj(prime), N(prime)
     e = 0
     while True:
-        q, r = divmod(alpha, prime)
-        if r:
-            return e, alpha
-        alpha = q
+        ta, tb = _mul(a, b, c, d)
+        if ta % n or tb % n:
+            return e, EisensteinInt(a, b)
+        a, b = ta // n, tb // n
         e += 1
 
 
@@ -549,17 +559,14 @@ def is_cube(a) -> tuple[bool, EisensteinRational | None]:
     of the three roots are distinct unless a is rational.  Every root
     returned cubes to a exactly.
     """
-    a = _as_rational_element(a)
-    if a is None:
-        raise TypeError("is_cube expects an element of Q(w)")
+    a, ga, gb = _cleared(a, "is_cube expects an element of Q(w)")
     if a.is_rational():
         rn, rd = exact_cbrt(a.num.a), exact_cbrt(a.den)
         if rn is None or rd is None:
             return False, None
         return True, EisensteinRational(rn, rd)
-    delta = a.num * (a.den * a.den)
-    n = exact_cbrt(delta.norm())
-    root = None if n is None else _cube_root(delta.a, delta.b, n)
+    n = exact_cbrt(ga * ga - ga * gb + gb * gb)
+    root = None if n is None else _cube_root(ga, gb, n)
     if root is None:
         return False, None
     return True, EisensteinRational(EisensteinInt(*root), a.den)

@@ -195,6 +195,8 @@ def _cube_side(k: int) -> int:
     return 3 ** (k - 1) if k >= 2 else 3
 
 
+# The kernels keep fused formulas, not `eisenstein._mul`: each numpy operation
+# makes a temporary over a whole chunk, and the fused forms make fewer of them.
 def _form_values(x: np.ndarray, y: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     # (x + w y)^2 (x + w^2 y) = (x + w y) * (x^2 - x y + y^2)
     n = (x * x - x * y + y * y) % m

@@ -65,7 +65,7 @@ from .descent import (
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
-from .eisenstein import _fmt_frac, _format_element
+from .eisenstein import _fmt_frac, _format_element, _mul
 from .reports import RenderedList, fingerprint, make_document
 
 if TYPE_CHECKING:
@@ -173,11 +173,6 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
     for m, table in zip(_MODULI, _cube_residues()):
         mask &= table[norm % m]
     return mask
-
-
-def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """(a + b w)(c + d w) with w^2 = -1 - w, as coordinates."""
-    return a * c - b * d, a * d + b * c - b * d
 
 
 def _finding_strings(finding: tuple[int, int, int, int, int], d: int,
