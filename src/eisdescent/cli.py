@@ -211,6 +211,7 @@ def _cmd_search(args) -> tuple[dict, str | None]:
 def _cmd_dump_set(args) -> tuple[dict, str | None]:
     start = time.perf_counter()
     ring = ResidueRing(args.k)
+    open(args.path, "wb").close()  # an unwritable path fails before the scan
     image = _SET_BUILDERS[args.set](ring)
     image.write_csv(args.path)
     params = {"command": "dump-set", "set": args.set, "k": args.k}

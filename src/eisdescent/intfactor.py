@@ -12,22 +12,24 @@ divide n, and only those are divided out.  Brent's variant of Pollard rho
 splits what is left, with a deterministic Miller-Rabin test to decide when
 to stop.  Rho's work grows like the square root of the cofactor's
 smallest prime factor, and the cost of one step (a modular squaring and a
-product) with the cofactor's size.  So each rho split may spend
-RHO_STEPS = 2^22 units, a step on a b-bit cofactor costing ceil(b/128)^2
-of them: 2^22 steps up to 128 bits, 2^20 up to 256 and 1,551 at 6,643
-bits.  Past that it gives up with ValueError, whose message names the
-bound.  On a 2-core x86 VM (Python 3.11), products of two random primes
-split in 0.01-0.06 s at 64 bits and 0.2-1.0 s at 80 bits; at 88 bits
-three split in 0.2-1.5 s and four gave up after 1.7-2.6 s.  Rho gave up
-after 2.2-3.1 s at 96 bits, 2.2 s at 128, 0.6-1.2 s from 136 to 256 bits,
-0.4 s at 400 and 0.2 s at 1,600.  A call makes fewer splits than it has
-prime factors above TRIAL_LIMIT (with multiplicity), so its rho work is at
-most RHO_STEPS units times that count.  Each cofactor also gets one
-Miller-Rabin test and one perfect-power test before its split, about 1 s
-and 0.16 s at 6,643 bits, so `factor` on a random 1,000-digit element
-exits 2 after 1.1-2.4 s.  A prime already found is divided out of every
-later cofactor, and a perfect power r^k is reduced to r before any rho
-run, so repeated primes, as in (pq)^3, cost one split, not one per copy.
+product) with the cofactor's size.  So a factor_int call may spend
+RHO_STEPS = 2^22 units in all, a rho step on a b-bit cofactor costing
+ceil(b/128)^2 of them, and the Miller-Rabin and perfect-power tests that
+precede each split b steps, charged before they run.  One split may take
+up to 2^22 steps up to 128 bits, 2^20 up to 256, and a cofactor above
+4,096 bits is refused before its tests.  Past the budget the call gives up
+with ValueError, whose message names the bound.  On a 2-core x86 VM
+(Python 3.11), products of two random primes split in 0.01-0.06 s at 64
+bits and 0.2-1.0 s at 80 bits; at 88 bits three split in 0.2-1.5 s and
+four gave up after 1.7-2.6 s.  Rho gave up after 2.2-3.1 s at 96 bits and
+2.2 s at 128.  The prime 2^3217 - 1 passes its tests in 1.2 s.  A norm
+made of 80, 120 or 160 split primes of 22 bits (1,760-3,520 bits) gives
+up after 0.17-0.24 s, where a budget per split factored it in 0.55-3.4 s,
+and one of 300 such primes, like that of a random 1,000-digit element,
+gives up at once.  A prime
+already found is divided out of every later cofactor, and a perfect power
+r^k is reduced to r before any rho run, so repeated primes, as in (pq)^3,
+cost one split, not one per copy.
 """
 
 from __future__ import annotations
@@ -79,13 +81,13 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, rng: Random) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle finding).
+def _brent_rho(n: int, rng: Random, units: int) -> tuple[int, int]:
+    """One nontrivial factor of composite odd n (Brent's cycle finding), and
+    the units spent, a step on a b-bit n costing ceil(b/128)^2 of them.
 
-    Raises ValueError rather than spend more than the RHO_STEPS units, where
-    a step on a b-bit n costs ceil(b/128)^2 of them."""
+    Raises ValueError rather than spend more than `units`."""
     size = -(-n.bit_length() // 128)
-    limit = RHO_STEPS // (size * size)
+    limit = units // (size * size)
     steps = 0
     while True:
         y = rng.randrange(1, n)
@@ -97,7 +99,7 @@ def _brent_rho(n: int, rng: Random) -> int:
                 raise ValueError(f"factoring gave up on a {n.bit_length()}-bit "
                                  f"cofactor after {steps} rho steps: a step on it "
                                  f"costs {size * size} of the RHO_STEPS = {RHO_STEPS} "
-                                 f"units a split may spend")
+                                 f"units a factor_int call may spend")
             steps += 2 * r
             x = y
             for _ in range(r):
@@ -117,7 +119,7 @@ def _brent_rho(n: int, rng: Random) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps * size * size
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -144,6 +146,7 @@ def factor_int(n: int) -> dict[int, int]:
     # (cofactor, multiplicity); primes already found and perfect powers are
     # taken out before rho, so a repeated prime costs no second rho run.
     rng = Random(n)
+    left = RHO_STEPS
     stack = [(n, 1)]
     found: list[int] = []
     while stack:
@@ -154,6 +157,16 @@ def factor_int(n: int) -> dict[int, int]:
                 m //= p
         if m == 1:
             continue
+        # the primality and perfect-power tests below cost b rho steps
+        bits = m.bit_length()
+        size = -(-bits // 128)
+        cost = bits * size * size
+        if cost > left:
+            raise ValueError(f"factoring gave up on a {bits}-bit cofactor: its primality "
+                             f"and perfect-power tests cost {cost} = {bits} * {size}^2 of "
+                             f"the RHO_STEPS = {RHO_STEPS} units a factor_int call may "
+                             f"spend, and {left} are left")
+        left -= cost
         if is_probable_prime(m):
             factors[m] = e
             found.append(m)
@@ -162,7 +175,8 @@ def factor_int(n: int) -> dict[int, int]:
         if k > 1:
             stack.append((root, e * k))
             continue
-        g = _brent_rho(m, rng)
+        g, spent = _brent_rho(m, rng, left)
+        left -= spent
         stack.append((m // g, e))
         stack.append((g, e))
     return factors

@@ -77,17 +77,22 @@ if TYPE_CHECKING:
 __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 
 # The one bound on the walk, checked before it starts against the work
-# ((2H + 1) * H + 1) * (n + 1) for f of degree n: (2H + 1) * H + 1 >= the
+# ((2H + 1) * H + 1) * (n + 1) * c for f of degree n: (2H + 1) * H + 1 >= the
 # number of points of height <= H (p in [-H, H], q in [1, H], plus infinity),
-# and the prefilter and the Horner sum take n + 1 steps per point.  At degree 3
+# the prefilter and the Horner sum take n + 1 steps per point, and
+# c = ceil(b/128)^2 charges each step by the b bits of the largest scaled
+# coefficient D^3 c_i, as `intfactor` charges a rho step; c = 1 up to 128
+# bits, so the heights below hold for such coefficients.  At degree 3
 # it allows H <= 499, 303,664 points.  There the CLI took 2.2-3.0 s and peaked
 # at 181 MB on t^3 = w z^3, where every finite nonzero point descends and each
 # finding is held as its integers until the writer renders it, and 0.2 s and
 # 33 MB on t^3 = 3(z^3 + 2), where the modular prefilter rejects all but 1,283
 # points.  At degree 99 it allows H <= 99, where t^3 = w z^99 took 0.9-1.2 s
 # and 50 MB for 6.6 MB of JSON, and at degree 3000 H <= 17, where
-# f = 1 + z + ... + z^3000 took 0.3 s and 34 MB (2-core x86 VM, Python 3.11,
-# numpy 2.4).
+# f = 1 + z + ... + z^3000 took 0.3 s and 34 MB.  With the 3,001-digit
+# coefficient 10^3000 w at z^3 (b = 9,966, c = 6,084) it allows H <= 6, which
+# took 0.4-0.6 s and 33 MB; uncharged, H = 60 took 21 s, 81 MB and 18 MB of
+# JSON (2-core x86 VM, Python 3.11, numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000
 
 
@@ -295,20 +300,26 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
 
     `coefficients` lists f of t^3 = f(z) from the constant term up; entries
     may be integers, Fractions, or elements of Q(w).  A height whose work
-    ((2H + 1) * H + 1) * (n + 1) at degree n exceeds MAX_SEARCH_WORK raises
+    ((2H + 1) * H + 1) * (n + 1) * ceil(b/128)^2 at degree n, for b the bits
+    of the largest scaled coefficient, exceeds MAX_SEARCH_WORK raises
     ValueError before any point is walked.
     """
     start = time.perf_counter()
     coeffs, scaled, d, e = _cover_coefficients(coefficients)
     n = len(scaled) - 1
-    work = ((2 * height + 1) * height + 1) * (n + 1)
+    bits = max(abs(x).bit_length() for pair in scaled for x in pair)
+    charge = (-(-bits // 128)) ** 2
+    step = (n + 1) * charge  # the work of one point
+    work = ((2 * height + 1) * height + 1) * step
     if height >= 1 and work > MAX_SEARCH_WORK:
-        top = math.isqrt(MAX_SEARCH_WORK // (2 * n + 2))
-        while top and ((2 * top + 1) * top + 1) * (n + 1) > MAX_SEARCH_WORK:
+        top = math.isqrt(MAX_SEARCH_WORK // (2 * step))
+        while top and ((2 * top + 1) * top + 1) * step > MAX_SEARCH_WORK:
             top -= 1
-        raise ValueError(f"height {height} at degree {n} needs work "
-                         f"((2H + 1) H + 1)(n + 1) = {work}, above the bound "
-                         f"MAX_SEARCH_WORK = {MAX_SEARCH_WORK}; the largest "
+        rule = (f"((2H + 1) H + 1)(n + 1) = {work}," if charge == 1 else
+                f"((2H + 1) H + 1)(n + 1) c = {work}, where c = ceil(b/128)^2 = "
+                f"{charge} for the b = {bits} bits of the largest D^3 c_i,")
+        raise ValueError(f"height {height} at degree {n} needs work {rule} above "
+                         f"the bound MAX_SEARCH_WORK = {MAX_SEARCH_WORK}; the largest "
                          f"height allowed at degree {n} is {top}")
 
     counts, findings, counters = _classify_points(scaled, e, height)

@@ -338,6 +338,27 @@ class TestFactorCommand:
             assert proc.stdout == ""
             assert "RHO_STEPS" in proc.stderr
 
+    def test_many_split_primes_end_within_the_call_budget(self):
+        # The norm is a product of 300 split primes of 22 bits, 6,600 bits in
+        # all: the parent code, with a budget per rho split, factored such a
+        # norm in 42 s, most of it one Miller-Rabin test per split on the
+        # whole cofactor.  Now every test and rho step of the call is charged
+        # to the one budget.
+        rng = random.Random(2300)
+        alpha, count = EisensteinInt(1), 0
+        while count < 300:
+            p = rng.getrandbits(22) | 1 << 21 | 1
+            if p % 3 == 1 and intfactor.is_probable_prime(p):
+                alpha, count = alpha * eisenstein._split_prime(p), count + 1
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eisdescent", "factor", "--", str(alpha)],
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode in (0, 2), proc.stderr
+        if proc.returncode == 2:
+            assert proc.stdout == ""
+            assert "RHO_STEPS" in proc.stderr and "a factor_int call may spend" in proc.stderr
+
 
 def without_elapsed(out):
     return [line for line in out.splitlines() if '"elapsed_s"' not in line]
@@ -476,6 +497,26 @@ class TestSearchCommand:
         assert "MAX_SEARCH_WORK = 2000000" in err
         assert f"the largest height allowed at degree {n} is {top}" in err
 
+    def test_huge_coefficient_is_charged_by_its_size(self, capsys):
+        # A 3,001-digit coefficient: at H = 60 the parent code walked every
+        # point, 21 s and 18 MB of JSON.  Each point is now charged
+        # ceil(b/128)^2 = 78^2 for the b = 9,966 bits of 10^3000.
+        coeffs = "0,0,0,1" + "0" * 3000 + "*w"
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "eisdescent", "search", "--coeffs", coeffs,
+                               "--height", "60"], capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode in (0, 2), proc.stderr
+        if proc.returncode == 2:
+            assert proc.stdout == ""
+            assert "MAX_SEARCH_WORK = 2000000" in proc.stderr
+            assert "c = ceil(b/128)^2 = 6084 for the b = 9966 bits" in proc.stderr
+            assert "the largest height allowed at degree 3 is 6" in proc.stderr
+        code, doc, _ = run_json(capsys, "search", "--coeffs", coeffs, "--height", "6")
+        assert code == 0
+        # 10^3000 w = form(10^1000 w): every point but the branch point 0 descends
+        assert doc["report"]["counts"]["Descends"] == doc["report"]["n_points"] - 1
+
 
 class TestDumpSetCommand:
     def test_writes_csv(self, capsys, tmp_path):
@@ -491,6 +532,17 @@ class TestDumpSetCommand:
         code, _, _ = run_cli(capsys, "dump-set", "cubes", "--k", "12",
                              "--path", str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_unwritable_path_fails_before_the_scan(self, tmp_path):
+        # The scan imports numpy, so a child that exits without it never
+        # scanned; the parent code scanned for 1.8 s and peaked at 160 MB first.
+        path = tmp_path / "missing" / "x.csv"
+        proc = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, "dump-set", "form-image",
+                               "--k", "8", "--path", str(path)], capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        error, numpy_loaded, _ = proc.stderr.splitlines()
+        assert error.startswith("error: ") and str(path) in error
+        assert numpy_loaded == "False"
 
 
 class TestJsonAndStability:

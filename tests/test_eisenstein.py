@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eisdescent import (
@@ -366,6 +366,44 @@ class TestIsCube:
             x, y = root.num.a, root.num.b
             assert ok and (2 * x - y) ** 2 <= x * x - x * y + y * y
             assert root in (beta, beta * W, beta * W * W, -beta, -beta * W, -beta * W * W)
+
+
+def strip_by_divmod(alpha, prime):
+    """The reference for `_strip`: the Euclidean divide-out loop it replaced."""
+    e = 0
+    while True:
+        q, r = divmod(alpha, prime)
+        if r:
+            return e, alpha
+        alpha, e = q, e + 1
+
+
+def _above(p):
+    prime = eisenstein._split_prime(p)
+    return [prime, canonical_associate(prime.conj())]
+
+
+# pi, inert primes, and both primes above split primes
+STRIP_PRIMES = [PI, EisensteinInt(2), EisensteinInt(5), EisensteinInt(11)]
+STRIP_PRIMES += _above(7) + _above(13) + _above(97) + _above(1_000_003)
+
+coordinates = st.one_of(st.integers(-50, 50), st.integers(-2**200, 2**200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(STRIP_PRIMES), st.integers(0, 6), coordinates, coordinates,
+       st.sampled_from(UNITS))
+@example(PI, 6, 2**200, -2**200, UNITS[1])
+@example(_above(7)[1], 3, 0, 1, UNITS[2])
+def test_strip_and_pi_valuation_match_the_divmod_loop(prime, j, x, y, unit):
+    assume(x or y)
+    alpha = unit * prime**j * EisensteinInt(x, y)
+    for p in STRIP_PRIMES:
+        e, cofactor = eisenstein._strip(alpha, p)
+        assert (e, cofactor) == strip_by_divmod(alpha, p)
+        assert isinstance(cofactor, EisensteinInt)
+    assert eisenstein._strip(alpha, prime)[0] >= j
+    assert pi_valuation(alpha) == strip_by_divmod(alpha, PI)
 
 
 def cube_by_factoring(delta):

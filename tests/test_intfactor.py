@@ -131,12 +131,54 @@ def test_rho_step_is_charged_by_the_cofactor_size(monkeypatch):
     assert spent and int(spent[1]) <= 1000
 
 
+def test_one_budget_serves_every_split_of_a_call(monkeypatch):
+    primes = [next(n for n in range(2**24 + 2**20 * i + 1, 2**25, 2) if is_probable_prime(n))
+              for i in range(8)]
+    offers, spends = [], []
+    brent_rho = intfactor._brent_rho
+
+    def spy(n, rng, units):
+        g, spent = brent_rho(n, rng, units)
+        offers.append(units)
+        spends.append(spent)
+        return g, spent
+
+    monkeypatch.setattr(intfactor, "_brent_rho", spy)
+    n = math.prod(primes)
+    assert factor_int(n) == {p: 1 for p in primes}
+    assert len(offers) >= 3
+    assert offers == sorted(offers, reverse=True) and offers[0] < intfactor.RHO_STEPS
+    # The same call with one unit left for its last split: the earlier splits
+    # run as before (rho is seeded by n), and the last one gives up although a
+    # budget per split of that size would have paid for every split.
+    budget = intfactor.RHO_STEPS - offers[-1] + 1
+    assert max(spends) + n.bit_length() * 4 < budget
+    monkeypatch.setattr(intfactor, "RHO_STEPS", budget)
+    with pytest.raises(ValueError, match=f"after 0 rho steps: .* RHO_STEPS = {budget} "
+                                         "units a factor_int call may spend"):
+        factor_int(n)
+
+
+def test_tests_of_a_large_cofactor_are_charged_before_they_run():
+    # 10007 is above TRIAL_LIMIT, so the whole power is the cofactor; its
+    # primality and perfect-power tests cost bits * ceil(bits/128)^2 units,
+    # more than RHO_STEPS = 2^22 once bits > 4096.
+    n = 10007**309
+    assert n.bit_length() == 4107
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"on a 4107-bit cofactor: its primality and "
+                                         r"perfect-power tests cost 4472523 = 4107 \* 33\^2 "
+                                         r"of the RHO_STEPS = 4194304 units"):
+        factor_int(n)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_repeated_primes_cost_one_rho_split(monkeypatch):
     p = next(n for n in range(2**35 + 1, 2**36, 2) if is_probable_prime(n))
     q = next(n for n in range(2**35 + 2**34 + 1, 2**36, 2) if is_probable_prime(n))
     calls = []
     brent_rho = intfactor._brent_rho
-    monkeypatch.setattr(intfactor, "_brent_rho", lambda n, rng: calls.append(n) or brent_rho(n, rng))
+    monkeypatch.setattr(intfactor, "_brent_rho", lambda n, *args: calls.append(n) or brent_rho(n, *args))
     assert factor_int((p * q) ** 3) == {p: 3, q: 3}
     assert len(calls) <= 1
     calls.clear()
