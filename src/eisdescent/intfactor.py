@@ -26,10 +26,9 @@ four gave up after 1.7-2.6 s.  Rho gave up after 2.2-3.1 s at 96 bits and
 made of 80, 120 or 160 split primes of 22 bits (1,760-3,520 bits) gives
 up after 0.17-0.24 s, where a budget per split factored it in 0.55-3.4 s,
 and one of 300 such primes, like that of a random 1,000-digit element,
-gives up at once.  A prime
-already found is divided out of every later cofactor, and a perfect power
-r^k is reduced to r before any rho run, so repeated primes, as in (pq)^3,
-cost one split, not one per copy.
+gives up at once.  A prime already found is divided out of every later
+cofactor, and a perfect power r^k is reduced to r before any rho run, so
+repeated primes, as in (pq)^3, cost one split, not one per copy.
 """
 
 from __future__ import annotations
@@ -81,13 +80,16 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _step_units(bits: int) -> int:
+    """The units of RHO_STEPS that one step on b-bit integers costs: ceil(b/128)^2."""
+    return (-(-bits // 128)) ** 2
+
+
 def _brent_rho(n: int, rng: Random, units: int) -> tuple[int, int]:
     """One nontrivial factor of composite odd n (Brent's cycle finding), and
-    the units spent, a step on a b-bit n costing ceil(b/128)^2 of them.
-
-    Raises ValueError rather than spend more than `units`."""
-    size = -(-n.bit_length() // 128)
-    limit = units // (size * size)
+    the units spent.  Raises ValueError rather than spend more than `units`."""
+    unit = _step_units(n.bit_length())
+    limit = units // unit
     steps = 0
     while True:
         y = rng.randrange(1, n)
@@ -98,7 +100,7 @@ def _brent_rho(n: int, rng: Random, units: int) -> tuple[int, int]:
             if steps + 2 * r > limit:  # a round costs at most 2r squarings
                 raise ValueError(f"factoring gave up on a {n.bit_length()}-bit "
                                  f"cofactor after {steps} rho steps: a step on it "
-                                 f"costs {size * size} of the RHO_STEPS = {RHO_STEPS} "
+                                 f"costs {unit} of the RHO_STEPS = {RHO_STEPS} "
                                  f"units a factor_int call may spend")
             steps += 2 * r
             x = y
@@ -119,7 +121,7 @@ def _brent_rho(n: int, rng: Random, units: int) -> tuple[int, int]:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g, steps * size * size
+            return g, steps * unit
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -159,12 +161,11 @@ def factor_int(n: int) -> dict[int, int]:
             continue
         # the primality and perfect-power tests below cost b rho steps
         bits = m.bit_length()
-        size = -(-bits // 128)
-        cost = bits * size * size
+        cost = bits * _step_units(bits)
         if cost > left:
             raise ValueError(f"factoring gave up on a {bits}-bit cofactor: its primality "
-                             f"and perfect-power tests cost {cost} = {bits} * {size}^2 of "
-                             f"the RHO_STEPS = {RHO_STEPS} units a factor_int call may "
+                             f"and perfect-power tests cost {bits} steps, {cost} of the "
+                             f"RHO_STEPS = {RHO_STEPS} units a factor_int call may "
                              f"spend, and {left} are left")
         left -= cost
         if is_probable_prime(m):

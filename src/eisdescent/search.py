@@ -66,6 +66,7 @@ from .descent import (
     specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
 from .eisenstein import _fmt_frac, _format_element, _mul
+from .intfactor import _step_units
 from .reports import RenderedList, fingerprint, make_document
 
 if TYPE_CHECKING:
@@ -308,12 +309,12 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
     coeffs, scaled, d, e = _cover_coefficients(coefficients)
     n = len(scaled) - 1
     bits = max(abs(x).bit_length() for pair in scaled for x in pair)
-    charge = (-(-bits // 128)) ** 2
-    step = (n + 1) * charge  # the work of one point
-    work = ((2 * height + 1) * height + 1) * step
+    charge = _step_units(bits)
+    per_point = (n + 1) * charge
+    work = ((2 * height + 1) * height + 1) * per_point
     if height >= 1 and work > MAX_SEARCH_WORK:
-        top = math.isqrt(MAX_SEARCH_WORK // (2 * step))
-        while top and ((2 * top + 1) * top + 1) * step > MAX_SEARCH_WORK:
+        top = math.isqrt(MAX_SEARCH_WORK // (2 * per_point))
+        while top and ((2 * top + 1) * top + 1) * per_point > MAX_SEARCH_WORK:
             top -= 1
         rule = (f"((2H + 1) H + 1)(n + 1) = {work}," if charge == 1 else
                 f"((2H + 1) H + 1)(n + 1) c = {work}, where c = ceil(b/128)^2 = "

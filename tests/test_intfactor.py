@@ -167,8 +167,8 @@ def test_tests_of_a_large_cofactor_are_charged_before_they_run():
     assert n.bit_length() == 4107
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"on a 4107-bit cofactor: its primality and "
-                                         r"perfect-power tests cost 4472523 = 4107 \* 33\^2 "
-                                         r"of the RHO_STEPS = 4194304 units"):
+                                         r"perfect-power tests cost 4107 steps, 4472523 of "
+                                         r"the RHO_STEPS = 4194304 units"):
         factor_int(n)
     assert time.perf_counter() - start < 0.1
 
