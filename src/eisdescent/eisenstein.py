@@ -551,8 +551,8 @@ def is_cube(a) -> tuple[bool, EisensteinRational | None]:
 
     A rational a is a cube in Q(w) exactly when it is one in Q, and the root
     returned is then the real one (-3/2 for -27/8).  Otherwise denominators
-    are cleared (a is a cube iff delta = num * den^2 is a cube in Z[w],
-    because Z[w] is integrally closed), n = N(delta)^(1/3) must be an
+    are cleared (a is a cube iff G = num * den^2 = den^3 a is a cube in Z[w],
+    because Z[w] is integrally closed), n = N(G)^(1/3) must be an
     integer, and `_cube_root` decides with integer arithmetic alone; nothing
     is factored.  The root returned for a non-rational a is the unique one
     whose trace 2x - y lies in [-sqrt(N), sqrt(N)], N its norm: the traces

@@ -323,10 +323,10 @@ class TestFactorCommand:
             parse_element(entry["prime"]).norm()
 
     def test_thousand_digit_element_ends_within_the_rho_bound(self):
-        # Its norm has about 6,600 bits, so a rho step costs ceil(bits/128)^2 =
-        # 2704 units of RHO_STEPS and the split gives up after 1,022 steps; the
-        # command took 1.1-2.4 s on 2-core x86 VMs for eight such seeds, about
-        # half of it one Miller-Rabin round and the perfect-power test.
+        # Its norm has about 6,600 bits, so its primality and perfect-power
+        # tests alone would cost 6,600 * ceil(bits/128)^2 units, above
+        # RHO_STEPS: the call gives up before they run, about 0.1 s on 2-core
+        # x86 VMs for four seeds (1.1-2.4 s with a budget per rho split).
         rng = random.Random(1000)
         a, b = (rng.randrange(10**999, 10**1000) for _ in range(2))
         start = time.perf_counter()
