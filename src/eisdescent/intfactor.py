@@ -97,7 +97,9 @@ def _brent_rho(n: int, rng: Random, units: int) -> tuple[int, int]:
         m = 128
         g = r = q = 1
         while g == 1:
-            if steps + 2 * r > limit:  # a round costs at most 2r squarings
+            # a round costs at most 2r squarings; the last is cut to what is left
+            r = min(r, (limit - steps) // 2)
+            if not r:
                 raise ValueError(f"factoring gave up on a {n.bit_length()}-bit "
                                  f"cofactor after {steps} rho steps: a step on it "
                                  f"costs {unit} of the RHO_STEPS = {RHO_STEPS} "
