@@ -24,7 +24,7 @@ bits and 0.2-1.0 s at 80 bits; at 88 bits three split in 0.2-1.5 s and
 four gave up after 1.7-2.6 s.  Rho gave up after 2.2-3.1 s at 96 bits and
 2.2 s at 128.  The prime 2^3217 - 1 passes its tests in 1.2 s.  A norm
 made of 80, 120 or 160 split primes of 22 bits (1,760-3,520 bits) gives
-up after 0.17-0.24 s, where a budget per split factored it in 0.55-3.4 s,
+up after 0.16-0.25 s, where a budget per split factored it in 0.55-3.4 s,
 and one of 300 such primes, like that of a random 1,000-digit element,
 gives up at once.  A prime already found is divided out of every later
 cofactor, and a perfect power r^k is reduced to r before any rho run, so

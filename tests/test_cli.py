@@ -340,10 +340,9 @@ class TestFactorCommand:
 
     def test_many_split_primes_end_within_the_call_budget(self):
         # The norm is a product of 300 split primes of 22 bits, 6,600 bits in
-        # all: the parent code, with a budget per rho split, factored such a
-        # norm in 42 s, most of it one Miller-Rabin test per split on the
-        # whole cofactor.  Now every test and rho step of the call is charged
-        # to the one budget.
+        # all: with a budget per rho split, such a norm was factored in 42 s,
+        # most of it one Miller-Rabin test per split on the whole cofactor.
+        # Every test and rho step of the call is charged to the one budget.
         rng = random.Random(2300)
         alpha, count = EisensteinInt(1), 0
         while count < 300:
@@ -498,9 +497,9 @@ class TestSearchCommand:
         assert f"the largest height allowed at degree {n} is {top}" in err
 
     def test_huge_coefficient_is_charged_by_its_size(self, capsys):
-        # A 3,001-digit coefficient: at H = 60 the parent code walked every
-        # point, 21 s and 18 MB of JSON.  Each point is now charged
-        # ceil(b/128)^2 = 78^2 for the b = 9,966 bits of 10^3000.
+        # A 3,001-digit coefficient: uncharged, H = 60 walked every point in
+        # 21 s for 18 MB of JSON.  Each point is charged ceil(b/128)^2 = 78^2
+        # for the b = 9,966 bits of 10^3000.
         coeffs = "0,0,0,1" + "0" * 3000 + "*w"
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "eisdescent", "search", "--coeffs", coeffs,
@@ -535,7 +534,7 @@ class TestDumpSetCommand:
 
     def test_unwritable_path_fails_before_the_scan(self, tmp_path):
         # The scan imports numpy, so a child that exits without it never
-        # scanned; the parent code scanned for 1.8 s and peaked at 160 MB first.
+        # scanned; a scan first would take 1.8 s and peak at 160 MB.
         path = tmp_path / "missing" / "x.csv"
         proc = subprocess.run([sys.executable, "-c", _CHILD_SCRIPT, "dump-set", "form-image",
                                "--k", "8", "--path", str(path)], capture_output=True, text=True)
