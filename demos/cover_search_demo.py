@@ -7,8 +7,8 @@ search confirms this empirically point by point.  A shifted cover is run
 afterwards to show what a descending point looks like in a report.
 """
 
-from eisdescent import EisensteinInt, EisensteinRational, enumerate_rationals, search
-from eisdescent.reports import dumps_document
+from eisdescent import enumerate_rationals, search
+from eisdescent.cli import main
 
 print("rationals of height <= 2, in enumeration order:")
 print("  ", ", ".join(str(q) for q in enumerate_rationals(2)))
@@ -25,6 +25,4 @@ assert report.counts["Descends"] == 0
 
 print()
 print("== a cover that does have descending points: t^3 = z + (6+3w) ==")
-shifted = [EisensteinRational(EisensteinInt(6, 3)), 1]
-report = search(shifted, 2)
-print(dumps_document(report.to_document()))
+assert main(["search", "--coeffs", "6+3*w,1", "--height", "2"]) == 0

@@ -14,7 +14,7 @@ test and runs here up to k = 6 (modulus 729).
 """
 
 from eisdescent import minimal_modulus, verify_cube_closure, verify_no_solution
-from eisdescent.reports import dumps_document
+from eisdescent.cli import main
 
 print("== no-solution check: form(x, y) = 3(z^3 + 2) in Z[w]/(3^k) ==")
 for k in (1, 2, 3, 4):
@@ -39,4 +39,4 @@ for k in range(1, 7):
 
 print()
 print("== a full certificate document (k = 4) ==")
-print(dumps_document(verify_no_solution(4).to_document()))
+assert main(["verify", "no-solution", "--k", "4"]) == 0

@@ -108,10 +108,15 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="PATH", help="also write the report to a file")
 
 
-# Each handler returns its finished document and None, or the document and
-# the one-line message of a failed --expect-holds or internal consistency
-# check; `main` alone writes the document and picks the exit code.
-def _cmd_verify(args) -> tuple[dict, str | None]:
+# Each handler returns the parts of its document: the report section, the
+# parameters its fingerprint hashes, its counters or None, and None or the
+# one-line message of a failed --expect-holds or internal consistency check.
+# `main` alone times the handler, makes and writes the document and picks
+# the exit code.
+_Parts = tuple[dict, dict, dict | None, str | None]
+
+
+def _cmd_verify(args) -> _Parts:
     report = (verify_cube_closure if args.lemma == "cube-closure"
               else verify_no_solution)(args.k)
     problem = None
@@ -119,19 +124,16 @@ def _cmd_verify(args) -> tuple[dict, str | None]:
         expected = args.expect_holds == "true"
         if report.holds != expected:
             problem = f"expected holds={expected}, got holds={report.holds}"
-    return report.to_document(), problem
+    return report.to_report(), {"lemma": args.lemma, "k": args.k}, None, problem
 
 
-def _cmd_minimal_modulus(args) -> tuple[dict, str | None]:
-    start = time.perf_counter()
+def _cmd_minimal_modulus(args) -> _Parts:
     k = minimal_modulus(args.max_k)
     params = {"command": "minimal-modulus", "max_k": args.max_k}
-    report = {"max_k": args.max_k, "minimal_k": k}
-    return make_document(report, params, time.perf_counter() - start), None
+    return {"max_k": args.max_k, "minimal_k": k}, params, None, None
 
 
-def _cmd_classify(args) -> tuple[dict, str | None]:
-    start = time.perf_counter()
+def _cmd_classify(args) -> _Parts:
     a = parse_element(args.element)
     cls = classify(a)
     witness = None
@@ -143,19 +145,17 @@ def _cmd_classify(args) -> tuple[dict, str | None]:
         "classification": cls.kind.value,
         "witness": witness,
     }
-    document = make_document(report, params, time.perf_counter() - start)
     # Internal consistency: a Descends verdict must satisfy the Galois
     # identity and be a non-cube; Disconnected must be a cube.
     if cls.kind is DescentKind.DESCENDS:
-        if is_cube(a)[0] or not galois_commutes(a, cls.witness):
-            return document, "internal inconsistency in classification"
-    elif cls.kind is DescentKind.DISCONNECTED and not is_cube(a)[0]:
-        return document, "internal inconsistency in classification"
-    return document, None
+        consistent = not is_cube(a)[0] and galois_commutes(a, cls.witness)
+    else:
+        consistent = cls.kind is not DescentKind.DISCONNECTED or is_cube(a)[0]
+    problem = None if consistent else "internal inconsistency in classification"
+    return report, params, None, problem
 
 
-def _cmd_solve(args) -> tuple[dict, str | None]:
-    start = time.perf_counter()
+def _cmd_solve(args) -> _Parts:
     a = parse_element(args.element)
     w = descent_form_preimage(a)
     problem = None
@@ -166,11 +166,10 @@ def _cmd_solve(args) -> tuple[dict, str | None]:
         "element": str(a),
         "witness": None if w is None else {"x": str(w.x), "y": str(w.y)},
     }
-    return make_document(report, params, time.perf_counter() - start), problem
+    return report, params, None, problem
 
 
-def _cmd_factor(args) -> tuple[dict, str | None]:
-    start = time.perf_counter()
+def _cmd_factor(args) -> _Parts:
     a = parse_element(args.element)
     if a.den != 1:
         raise ValueError("factor requires an integral element of Z[w]")
@@ -184,11 +183,10 @@ def _cmd_factor(args) -> tuple[dict, str | None]:
         "unit": str(f.unit),
         "factors": [{"prime": str(p), "exponent": e} for p, e in f.factors],
     }
-    return make_document(report, params, time.perf_counter() - start), problem
+    return report, params, None, problem
 
 
-def _cmd_reduce(args) -> tuple[dict, str | None]:
-    start = time.perf_counter()
+def _cmd_reduce(args) -> _Parts:
     x2, y2 = reduce_by_pi(args.x, args.y)
     both = pi_divides_both_factors(args.x, args.y)
     g_in = descent_form(args.x, args.y)
@@ -199,24 +197,24 @@ def _cmd_reduce(args) -> tuple[dict, str | None]:
         "result": {"x": x2, "y": y2, "form": str(g_out)},
         "pi_divides_both_factors": both,
     }
-    return make_document(report, params, time.perf_counter() - start), None
+    return report, params, None, None
 
 
-def _cmd_search(args) -> tuple[dict, str | None]:
+def _cmd_search(args) -> _Parts:
     coeffs = [parse_element(part) for part in args.coeffs.split(",")]
     report = search(coeffs, args.height)
-    return report.to_document(), None
+    params = {"coeffs": list(report.coefficients), "height": report.height}
+    return report.to_report(), params, report.counters, None
 
 
-def _cmd_dump_set(args) -> tuple[dict, str | None]:
-    start = time.perf_counter()
+def _cmd_dump_set(args) -> _Parts:
     ring = ResidueRing(args.k)
     open(args.path, "wb").close()  # an unwritable path fails before the scan
     image = _SET_BUILDERS[args.set](ring)
     image.write_csv(args.path)
     params = {"command": "dump-set", "set": args.set, "k": args.k}
     report = {"set": args.set, "k": args.k, "path": args.path, "size": len(image)}
-    return make_document(report, params, time.perf_counter() - start), None
+    return report, params, None, None
 
 
 _HANDLERS = {
@@ -235,7 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        document, problem = _HANDLERS[args.command](args)
+        start = time.perf_counter()
+        report, params, counters, problem = _HANDLERS[args.command](args)
+        document = make_document(report, params, time.perf_counter() - start, counters)
         text = dumps_document(document)
         # the file first, so an unwritable --json path leaves stdout empty
         if args.json:
@@ -243,7 +243,14 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         sys.stdout.write(text)
     except (ValueError, ZeroDivisionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if message.startswith("Exceeds the limit"):
+            # Python's limit on int <-> str conversion.  `parse_element`
+            # refuses an input number above it, so here a result passed it.
+            limit = sys.get_int_max_str_digits()
+            message = (f"a result has more than {limit} digits, above the limit of "
+                       f"{limit} digits on integer string conversion")
+        print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
     if problem is not None:
         print(problem, file=sys.stderr)

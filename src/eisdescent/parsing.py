@@ -20,6 +20,7 @@ len(text) + 1 when the text ends too early ("1+" -> 3).
 from __future__ import annotations
 
 import re
+import sys
 
 from .eisenstein import EisensteinInt, EisensteinRational
 
@@ -43,6 +44,17 @@ def _column(text: str, i: int) -> int:
     return len(text) - len(text[i:].lstrip()) + 1
 
 
+def _check_digits(m: re.Match, group: int) -> None:
+    """Raise a ParseError for a number int() would refuse: Python converts at
+    most sys.get_int_max_str_digits() digits (4300 by default, 0 for no
+    limit; Python 3.10.7 and later) between int and str."""
+    digits = m.group(group)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if digits is not None and 0 < limit < len(digits):
+        raise ParseError(f"input number has {len(digits)} digits, above the limit of "
+                         f"{limit} digits on integer string conversion", m.start(group) + 1)
+
+
 def parse_element(text: str) -> EisensteinRational:
     """Parse an element expression; raises ParseError with a position."""
     bad = _ILLEGAL.search(text)
@@ -58,6 +70,8 @@ def parse_element(text: str) -> EisensteinRational:
             what = "a number after '-'" if lead else "a term"
             raise ParseError(f"expected {what}", _column(text, pos))
         lead = None
+        _check_digits(m, 1)
+        _check_digits(m, 3)
         if slash and den is None:
             raise ParseError("expected a denominator", _column(text, m.end(2)))
         if den is not None and int(den) == 0:

@@ -6,7 +6,9 @@ byte-stable for fixed inputs: sorted keys, sorted lists, no timestamps),
 (wall-clock time, deliberately outside the stable section).  A `search`
 document has a fourth, "counters" (work done by the walk), also outside
 "report"; it sorts before "report", so the report section's bytes and place
-at the end of the printed document do not change.
+at the end of the printed document do not change.  `cli.main` alone calls
+`make_document`: each command returns its report section, the parameters
+to fingerprint and its counters, and `main` adds the handler's wall time.
 
 Documents are written by `dumps_document`, this module's own writer, whose
 output is byte-identical to `json.dumps(document, sort_keys=True, indent=2)`

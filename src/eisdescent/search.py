@@ -40,7 +40,7 @@ and each step is exact:
   (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
   for f(z) = G/s^3 and x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.
   Its finding is held as those integers (p, q, ga, gb, r), and its text is
-  made from them only when the document is written: `to_document` hands the
+  made from them only when the document is written: `to_report` hands the
   findings to `reports.dumps_document` as a `RenderedList`, which writes
   each one as one pre-indented piece of text.  p/q is already in lowest
   terms, and G/s^3 and G/(r s) are reduced part by part with one gcd each;
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -67,7 +66,7 @@ from .descent import (
 )
 from .eisenstein import _fmt_frac, _format_element, _mul
 from .intfactor import _step_units
-from .reports import RenderedList, fingerprint, make_document
+from .reports import RenderedList
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,6 +202,8 @@ class SearchReport:
     (p, q, ga, gb, r): the point p/q in lowest terms, G = ga + gb*w and
     r^3 = N(G).  `scale` is (d, e) of `descent._cover_coefficients`, which
     with p and q give s = d * q^(e/3), f(p/q) = G/s^3 and the witness G/(r s).
+    `to_report` gives the document's "report" section; `counters` goes in the
+    document beside it.
     """
 
     height: int
@@ -213,7 +214,6 @@ class SearchReport:
     scale: tuple[int, int]
     infinity: dict
     counters: dict[str, int]
-    elapsed_s: float
 
     @property
     def descends(self) -> tuple[dict, ...]:
@@ -231,18 +231,10 @@ class SearchReport:
         return (f'{{{i1}"a": "{a}",{i1}"witness": {{{i2}"x": "{x}",{i2}"y": "{y}"'
                 f'{i1}}},{i1}"z": "{z}"{indent}}}')
 
-    @property
-    def params(self) -> dict:
-        return {"coeffs": list(self.coefficients), "height": self.height}
-
-    @property
-    def input_fingerprint(self) -> str:
-        return fingerprint(self.params)
-
-    def to_document(self) -> dict:
-        """The search document; its "descends" member is a `RenderedList`
-        that `dumps_document` writes as the list `descends` holds."""
-        report = {
+    def to_report(self) -> dict:
+        """Its "descends" member is a `RenderedList` that `dumps_document`
+        writes as the list `descends` holds."""
+        return {
             "height": self.height,
             "coefficients": list(self.coefficients),
             "counts": dict(sorted(self.counts.items())),
@@ -250,7 +242,6 @@ class SearchReport:
             "descends": RenderedList(self.findings, self._render_finding),
             "infinity": self.infinity,
         }
-        return make_document(report, self.params, self.elapsed_s, self.counters)
 
 
 def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[tuple],
@@ -305,7 +296,6 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
     of the largest scaled coefficient, exceeds MAX_SEARCH_WORK raises
     ValueError before any point is walked.
     """
-    start = time.perf_counter()
     coeffs, scaled, d, e = _cover_coefficients(coefficients)
     n = len(scaled) - 1
     bits = max(abs(x).bit_length() for pair in scaled for x in pair)
@@ -342,5 +332,4 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
         scale=(d, e),
         infinity=infinity_entry,
         counters=counters,
-        elapsed_s=time.perf_counter() - start,
     )

@@ -28,10 +28,8 @@ deterministic: counterexample lists are sorted and capped at a fixed size.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .reports import fingerprint, make_document
 from .residues import (
     ResidueRing,
     cube_values,
@@ -66,18 +64,10 @@ class VerificationReport:
     counterexamples: tuple[dict, ...]
     counterexample_count: int
     set_sizes: dict[str, int]
-    elapsed_s: float
 
-    @property
-    def params(self) -> dict:
-        return {"lemma": self.lemma, "k": self.k}
-
-    @property
-    def input_fingerprint(self) -> str:
-        return fingerprint(self.params)
-
-    def to_document(self) -> dict:
-        report = {
+    def to_report(self) -> dict:
+        """The document's byte-stable "report" section."""
+        return {
             "lemma": self.lemma,
             "k": self.k,
             "holds": self.holds,
@@ -85,7 +75,6 @@ class VerificationReport:
             "counterexamples": list(self.counterexamples),
             "set_sizes": dict(sorted(self.set_sizes.items())),
         }
-        return make_document(report, self.params, self.elapsed_s)
 
 
 def verify_cube_closure(k: int) -> VerificationReport:
@@ -97,7 +86,6 @@ def verify_cube_closure(k: int) -> VerificationReport:
     one closed-form membership test per cube.  A cube u outside the image is
     listed as c^3 * form(1, 0), c its lex-first cube root.
     """
-    start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
     cubes = cube_values(ring)
@@ -114,7 +102,6 @@ def verify_cube_closure(k: int) -> VerificationReport:
         counterexamples=counterexamples,
         counterexample_count=len(roots),
         set_sizes=sizes,
-        elapsed_s=time.perf_counter() - start,
     )
 
 
@@ -125,7 +112,6 @@ def verify_no_solution(k: int) -> VerificationReport:
     it as a form value and the lex-first z producing it on the right-hand
     side.  Fails for k = 1, 2 and holds for every k >= 3 (so also at k = 4).
     """
-    start = time.perf_counter()
     ring = ResidueRing(k)
     m = ring.modulus
     rhs = rhs_values(ring)
@@ -149,7 +135,6 @@ def verify_no_solution(k: int) -> VerificationReport:
         counterexamples=counterexamples,
         counterexample_count=int(common.size),
         set_sizes=sizes,
-        elapsed_s=time.perf_counter() - start,
     )
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -586,6 +587,37 @@ class TestJsonAndStability:
         assert list(tmp_path.iterdir()) == []
 
 
+# One command per subcommand and its document's fingerprint, pinned from the
+# printed documents: the hashed parameters of each command must keep their
+# bytes.
+DOCUMENT_FINGERPRINTS = [
+    (["verify", "no-solution", "--k", "3"],
+     "fee44d7533ad98fbfb754124d5f695db1680262c1371f4f08b3a2e7b73c10cb5"),
+    (["minimal-modulus", "--max-k", "4"],
+     "b983c95c45a3a9f5cf336fdab34554d90f10f3d1327e790faeafaab9e3497a34"),
+    (["classify", "6+3*w"], "aa06bfb260fe77c62c79d18b1a13a01e1e32f007bbf083bf9509606fcff51da5"),
+    (["solve", "6+3*w"], "dccc182f565b2c24810ca3e367fff50e2c32223016141634c643a11bab0652c9"),
+    (["factor", "1980-366*w"], "b19167197daaf6bf1edf69e8ddaefe23f40fa92a2d7a8e44fa34def21fda290b"),
+    (["reduce", "1", "2"], "d0ec97acd30f6465a4cc7468232149cdbb3759404c6bd7e8213903470e68c356"),
+    (["search", "--coeffs", "6,0,0,3", "--height", "5"],
+     "2f727692173180b6cb449005e72aabd520c378ef767d2df45a1ba16cbf6c6ea1"),
+    (["dump-set", "rhs", "--k", "2", "--path", "{csv}"],
+     "db769ccbb8c8a3feffa59311c471c90f58a2c91ee28eb781a584b8bdd2291ccf"),
+]
+
+
+@pytest.mark.parametrize("argv,pinned", DOCUMENT_FINGERPRINTS,
+                         ids=[argv[0] for argv, _ in DOCUMENT_FINGERPRINTS])
+def test_every_command_makes_its_document_in_main(capsys, tmp_path, argv, pinned):
+    csv = str(tmp_path / "set.csv")
+    code, doc, _ = run_json(capsys, *[a.format(csv=csv) for a in argv])
+    assert code == 0
+    assert doc["fingerprint"] == "sha256:" + pinned
+    layout = {"elapsed_s", "fingerprint", "report"}
+    assert set(doc) == (layout | {"counters"} if argv[0] == "search" else layout)
+    assert isinstance(doc["elapsed_s"], float) and doc["elapsed_s"] >= 0
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("k", [0, 9])
     @pytest.mark.parametrize("argv", [
@@ -615,6 +647,24 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ") and "x.json" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["classify", "--", "9" * 4301],
+         "error: input number has 4301 digits, above the limit of 4300 digits on "
+         "integer string conversion (at position 1)\n"),
+        # form(3 * 10^2000, 0) is divisible by pi but has about 6,000 digits
+        (["reduce", str(3 * 10 ** 2000), "0"], "error: a result has more than 4300 digits, "
+         "above the limit of 4300 digits on integer string conversion\n"),
+        # the walk ends; a = f(4) has 4,301 digits when the document is written
+        (["search", f"--coeffs=0,0,0,{10 ** 4299}*w", "--height", "4"],
+         "error: a result has more than 4300 digits, above the limit of 4300 digits on "
+         "integer string conversion\n"),
+    ], ids=["input-number", "reduce-result", "search-result"])
+    def test_digit_limit_is_named(self, argv, message):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        proc = subprocess.run([sys.executable, "-m", "eisdescent", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,17 @@ def test_zero_denominator_rejected():
     with pytest.raises(ParseError) as err:
         parse_element("1/0")
     assert err.value.position == 3
+
+
+def test_numbers_above_the_digit_limit_rejected_with_position():
+    limit = sys.get_int_max_str_digits()
+    big = "9" * (limit + 1)
+    for text, position in [(big, 1), (f"1/{big}", 3), (f"2 - {big}*w", 5)]:
+        with pytest.raises(ParseError) as err:
+            parse_element(text)
+        assert err.value.position == position, position
+        assert f"above the limit of {limit} digits" in str(err.value)
+    assert parse_element("9" * limit).num.a == 10 ** limit - 1
 
 
 def test_various_syntax_errors():

@@ -126,7 +126,7 @@ def covers(draw):
 @given(covers(), st.integers(1, 9), st.none() | st.integers(1, 8))
 def test_rendered_descends_match_json_dumps(coeffs, height, flush):
     report = search(coeffs, height)
-    document = report.to_document()
+    document = {"report": report.to_report()}  # nested as in the printed document
     reference = reference_dumps(with_descends_as_dicts(document, report))
     with mock.patch.object(reports, "_FLUSH_PIECES", flush or reports._FLUSH_PIECES):
         assert dumps_document(document) == reference
@@ -139,12 +139,12 @@ def test_rendered_descends_cover_negative_points_and_denominators():
     assert "-3/4" in zs and "2/3" in zs
     assert {"a": "-81/256-81/512*w", "witness": {"x": "-3/4", "y": "-3/8"}, "z": "3/4"} \
         in report.descends
-    document = report.to_document()
+    document = {"report": report.to_report()}
     assert dumps_document(document) == reference_dumps(with_descends_as_dicts(document, report))
 
 
 def test_empty_rendered_list_writes_brackets():
     report = search([6, 0, 0, 3], 5)
     assert report.findings == () and report.descends == ()
-    assert '"descends": [],' in dumps_document(report.to_document())
+    assert '"descends": [],' in dumps_document({"report": report.to_report()})
     assert dumps_document({"a": RenderedList((), None)}) == reference_dumps({"a": []})

@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from eisdescent import (
     specialize,
 )
 from eisdescent import eisenstein
+from eisdescent.cli import main
 from eisdescent.descent import _homogeneous_value
 from eisdescent.intfactor import icbrt
 
@@ -161,11 +163,12 @@ class TestSearch:
         with pytest.raises(ValueError):
             search([7], 3)
 
-    def test_fingerprint_tracks_parameters(self):
-        a = search(TARGET_COVER, 2).input_fingerprint
-        b = search(TARGET_COVER, 3).input_fingerprint
-        c = search([0, 1], 2).input_fingerprint
-        assert len({a, b, c}) == 3
+    def test_fingerprint_tracks_parameters(self, capsys):
+        fingerprints = set()
+        for coeffs, height in [("6,0,0,3", "2"), ("6,0,0,3", "3"), ("0,1", "2")]:
+            assert main(["search", "--coeffs", coeffs, "--height", height]) == 0
+            fingerprints.add(json.loads(capsys.readouterr().out)["fingerprint"])
+        assert len(fingerprints) == 3
 
 
 # (coefficients, height): degrees 1, 2, 3, 6, 7 and 9, denominators and
@@ -401,20 +404,20 @@ def test_cube_residue_tables_mark_exactly_the_cubes_and_are_built_once():
     assert search_module._cube_residues() is tables
 
 
-def test_search_counters_account_for_every_finite_point():
+def test_search_counters_account_for_every_finite_point(capsys):
     # the last two are pinned from the walk that counted point by point
     for coeffs, height, pinned in [
-        (TARGET_COVER, 60, None),
-        ([0, 0, 0, OMEGA], 30, None),
-        ([OMEGA, 0, 0, 1], 40, None),
-        (TARGET_COVER, 200, {"points": 48927, "modular_rejects": 48749,
-                             "norm_rejects": 178, "cube_root_calls": 0}),
-        ([0, 0, 0, OMEGA], 60, {"points": 4407, "modular_rejects": 0,
-                                "norm_rejects": 0, "cube_root_calls": 4406}),
+        ("6,0,0,3", 60, None),
+        ("0,0,0,w", 30, None),
+        ("w,0,0,1", 40, None),
+        ("6,0,0,3", 200, {"points": 48927, "modular_rejects": 48749,
+                          "norm_rejects": 178, "cube_root_calls": 0}),
+        ("0,0,0,w", 60, {"points": 4407, "modular_rejects": 0,
+                         "norm_rejects": 0, "cube_root_calls": 4406}),
     ]:
-        report = search(coeffs, height)
-        doc = report.to_document()
-        c = doc["counters"]
+        report = search([parse_element(c) for c in coeffs.split(",")], height)
+        assert main(["search", "--coeffs", coeffs, "--height", str(height)]) == 0
+        c = json.loads(capsys.readouterr().out)["counters"]
         assert set(c) == {"points", "modular_rejects", "norm_rejects", "cube_root_calls"}
         assert c == report.counters
         finite = dict(report.counts)

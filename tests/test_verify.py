@@ -236,7 +236,7 @@ class TestCubeClosure:
             assert report.holds == (not failures)
             assert report.counterexample_count == len(failures) == 0
             assert report.counterexamples == ()
-            text = dumps_document(report.to_document()["report"])
+            text = dumps_document(report.to_report())
             assert hashlib.sha256(text.encode()).hexdigest() == CUBE_CLOSURE_REPORT_SHA256[k]
 
     def test_fallback_lists_products_outside_a_doctored_image(self, monkeypatch):
@@ -352,32 +352,37 @@ EXPECTED_REPORTS = {
 }
 
 
+def verify_document(capsys, lemma, k):
+    assert main(["verify", lemma, "--k", str(k)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("lemma,k", sorted(EXPECTED_REPORTS))
-def test_report_equals_pinned_document(lemma, k):
+def test_report_equals_pinned_document(capsys, lemma, k):
     check = verify_no_solution if lemma == "no-solution" else verify_cube_closure
-    doc = check(k).to_document()
+    assert check(k).to_report() == EXPECTED_REPORTS[lemma, k]
+    doc = verify_document(capsys, lemma, k)
     doc.pop("elapsed_s")
     assert doc == {"report": EXPECTED_REPORTS[lemma, k],
                    "fingerprint": fingerprint({"lemma": lemma, "k": k})}
 
 
 class TestReportDocuments:
-    def test_documents_byte_stable_and_jobs_independent(self):
-        docs = [verify_no_solution(2).to_document() for _ in range(4)]
+    def test_documents_byte_stable_and_jobs_independent(self, capsys):
+        docs = [verify_document(capsys, "no-solution", 2) for _ in range(4)]
         reports = [json.dumps(d["report"], sort_keys=True) for d in docs]
         assert len(set(reports)) == 1
         fps = {d["fingerprint"] for d in docs}
         assert len(fps) == 1
 
-    def test_fingerprint_depends_on_parameters(self):
-        a = verify_no_solution(1).to_document()["fingerprint"]
-        b = verify_no_solution(2).to_document()["fingerprint"]
-        c = verify_cube_closure(1).to_document()["fingerprint"]
+    def test_fingerprint_depends_on_parameters(self, capsys):
+        a = verify_document(capsys, "no-solution", 1)["fingerprint"]
+        b = verify_document(capsys, "no-solution", 2)["fingerprint"]
+        c = verify_document(capsys, "cube-closure", 1)["fingerprint"]
         assert len({a, b, c}) == 3
 
-    def test_document_layout(self):
-        doc = verify_no_solution(3).to_document()
+    def test_document_layout(self, capsys):
+        doc = verify_document(capsys, "no-solution", 3)
         assert set(doc) == {"report", "fingerprint", "elapsed_s"}
         assert doc["report"]["holds"] is True
-        text = dumps_document(doc)
-        assert json.loads(text)["report"] == doc["report"]
+        assert doc["report"] == verify_no_solution(3).to_report()
