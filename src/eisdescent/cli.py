@@ -27,7 +27,7 @@ from .descent import (
     reduce_by_pi,
 )
 from .eisenstein import factor, is_cube
-from .parsing import parse_element
+from .parsing import _digit_limit_error, parse_element
 from .reports import dumps_document, make_document
 from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
 from .search import search
@@ -46,6 +46,17 @@ _SET_BUILDERS = {
 _ELEMENT_HELP = "an element of Q(w); put a negative one after '--', as in '-- -1/2'"
 
 
+def _integer(text: str) -> int:
+    """int(text) for an integer argument.  A number past Python's digit limit
+    gets `parse_element`'s message, naming the limit, in place of argparse's
+    "invalid int value", which would echo every digit."""
+    try:
+        return int(text)
+    except ValueError:
+        message = _digit_limit_error(sum(ch.isdigit() for ch in text))
+        raise argparse.ArgumentTypeError(message or f"invalid int value: {text!r}") from None
+
+
 # Building the parser costs about 1 ms, several times a small command's own
 # work, so it is built on the first call to `main` and reused by every later
 # call in the process.  Parsing leaves it unchanged and argparse looks up
@@ -61,14 +72,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run one exhaustive residue-ring check")
     p.add_argument("lemma", choices=["cube-closure", "no-solution"])
-    p.add_argument("--k", type=int, required=True, help="modulus exponent (3^k)")
+    p.add_argument("--k", type=_integer, required=True, help="modulus exponent (3^k)")
     p.add_argument("--expect-holds", choices=["true", "false"],
                    help="exit 1 if the outcome differs from this expectation")
     _common_flags(p)
 
     p = sub.add_parser("minimal-modulus",
                        help="smallest k for which the no-solution check holds")
-    p.add_argument("--max-k", type=int, required=True)
+    p.add_argument("--max-k", type=_integer, required=True)
     _common_flags(p)
 
     p = sub.add_parser("classify", help="classify a specialization point of t^3 = z")
@@ -84,20 +95,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
 
     p = sub.add_parser("reduce", help="divide the form value at integer (x, y) by pi^3")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
+    p.add_argument("x", type=_integer)
+    p.add_argument("y", type=_integer)
     _common_flags(p)
 
     p = sub.add_parser("search", help="classify all rational points up to a height")
     p.add_argument("--coeffs", required=True,
                    help="comma-separated coefficients of f, constant term first; "
                         "a list that starts with '-' needs '=', as in --coeffs=-1,0,1")
-    p.add_argument("--height", type=int, required=True)
+    p.add_argument("--height", type=_integer, required=True)
     _common_flags(p)
 
     p = sub.add_parser("dump-set", help="CSV dump of an exhaustive image set")
     p.add_argument("set", choices=sorted(_SET_BUILDERS))
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--path", required=True)
     _common_flags(p)
 

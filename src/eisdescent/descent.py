@@ -158,7 +158,8 @@ def _classify_integral(ga: int, gb: int) -> tuple[str, int]:
     form(G/r) = (G/r) * r = G.  G is therefore Disconnected when it is a
     cube and Descends with the witness G/r otherwise.  A cube root b of G
     has N(b) = r, so `_cube_root` on G, r decides with integers alone, and
-    Disconnected rests on an exact b^3 = G.
+    Disconnected rests on an exact b^3 = G; `_past_norm_filter` makes that
+    last step.
     """
     if not (ga or gb):
         return "Undefined", 0
@@ -166,9 +167,14 @@ def _classify_integral(ga: int, gb: int) -> tuple[str, int]:
     r = icbrt(norm)
     if r * r * r != norm:
         return "NoDescent", r
-    if _cube_root(ga, gb, r) is not None:
-        return "Disconnected", r
-    return "Descends", r
+    return _past_norm_filter(ga, gb, r), r
+
+
+def _past_norm_filter(ga: int, gb: int, r: int) -> str:
+    """The kind of G = ga + gb*w with N(G) = r^3, r >= 1: Disconnected when
+    G is a cube, Descends (with the witness G/r) otherwise; see
+    `_classify_integral`."""
+    return "Disconnected" if _cube_root(ga, gb, r) is not None else "Descends"
 
 
 def classify(a) -> DescentClassification:
@@ -262,10 +268,12 @@ def _homogeneous_value(scaled, e: int, p, q, m: int = 0) -> tuple:
     degree e, a multiple of 3.  At p/q, G = (D q^(e/3))^3 f(p/q) is f(p/q)
     times a cube, so it has the classification of f(p/q).  At infinity,
     (1 : 0), G = D^3 c_e: D^3 times the leading coefficient when 3 | n, and
-    0 (a branch point) otherwise.  With m > 0 each step is reduced mod m, so
-    the same loop gives G mod m on int64 arrays of points for `search`'s
-    prefilter; p, q and scaled must then lie in [0, m), and for m <= 2^20 no
-    value reaches 2^60 (c_e q^(e-n) and q^(e-n+1) with e - n <= 2).
+    0 (a branch point) otherwise.  The same loop runs on int64 arrays of
+    points for `search`.  With m = 0 it is exact there while every value
+    fits, which `search` proves from a bound before the call.  With m > 0
+    each step is reduced mod m, giving G mod m for `search`'s prefilter; p,
+    q and scaled must then lie in [0, m), and for m <= 2^20 no value reaches
+    2^60 (c_e q^(e-n) and q^(e-n+1) with e - n <= 2).
     """
     ga = gb = 0
     qk = q ** (e + 1 - len(scaled))  # q^(e-n), then one more q per term

@@ -44,15 +44,23 @@ def _column(text: str, i: int) -> int:
     return len(text) - len(text[i:].lstrip()) + 1
 
 
-def _check_digits(m: re.Match, group: int) -> None:
-    """Raise a ParseError for a number int() would refuse: Python converts at
-    most sys.get_int_max_str_digits() digits (4300 by default, 0 for no
-    limit; Python 3.10.7 and later) between int and str."""
-    digits = m.group(group)
+def _digit_limit_error(digits: int) -> str | None:
+    """The message for a number of `digits` digits that int() would refuse:
+    Python converts at most sys.get_int_max_str_digits() digits (4300 by
+    default, 0 for no limit; Python 3.10.7 and later) between int and str."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if digits is not None and 0 < limit < len(digits):
-        raise ParseError(f"input number has {len(digits)} digits, above the limit of "
-                         f"{limit} digits on integer string conversion", m.start(group) + 1)
+    if 0 < limit < digits:
+        return (f"input number has {digits} digits, above the limit of "
+                f"{limit} digits on integer string conversion")
+    return None
+
+
+def _check_digits(m: re.Match, group: int) -> None:
+    """Raise a ParseError for a number int() would refuse."""
+    digits = m.group(group)
+    message = digits and _digit_limit_error(len(digits))
+    if message:
+        raise ParseError(message, m.start(group) + 1)
 
 
 def parse_element(text: str) -> EisensteinRational:

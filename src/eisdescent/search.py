@@ -21,20 +21,37 @@ and each step is exact:
   Horner sums, one per coordinate, with no fraction anywhere.  One
   evaluator, `descent._homogeneous_value`, serves `specialize`, `search`
   and the prefilter below, at (p : q) for each point p/q and at (1 : 0)
-  for infinity.
+  for infinity.  Points come in blocks of whole heights in the order of
+  `enumerate_rationals`, and the evaluator runs on a block's int64 arrays
+  of p and q in one numpy pass, so the points past the filters reach the
+  Python steps in report order.  numpy is imported by the functions that
+  build and filter the blocks, not by the module, so importing it does not
+  load numpy.
+* The int64 bound.  Let B = sum of (|a| + |b|) over the scaled
+  coefficients D^3 c_i = a + b w, times T^e for T the largest height in a
+  block.  Every Horner partial sum and both coordinates of G are at most B,
+  and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  When 3 B^2 < 2^62 the block
+  is decided in exact int64: G and N(G) themselves, then the two filters
+  below on whole arrays.  A block past the bound is decided point by point
+  on Python integers, by `descent._classify_integral` on each G that passes
+  the prefilter.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
-  is NoDescent with no big integer involved.  G mod M, M = 7*9*13*19*37 =
-  575,757, depends only on p and q mod M, so the evaluator reduced mod M
-  at each step and the norm run in int64 over a block of points in one
-  numpy pass, all below 2^60.  Points come in blocks of whole heights in the
-  order of `enumerate_rationals`, so the survivors reach the exact path in
-  report order.  numpy is imported by the functions that build and filter
-  the blocks, not by the module, so importing it does not load numpy.
-* Norm filter.  `descent._classify_integral`, shared with `classify`,
-  decides each surviving G and holds the argument: G is NoDescent unless
-  N(G) is a perfect integer cube r^3.
-* Past the filter, the same function finds G Disconnected when it is a
+  is NoDescent with no big integer involved.  A block within the bound
+  reads N(G) mod m from N(G) itself.  Past the bound, G mod M,
+  M = 7*9*13*19*37 = 575,757, depends only on p and q mod M, so the
+  evaluator reduced mod M at each step and the norm run in int64, all
+  below 2^60, and each m divides M.
+* Norm filter.  G is NoDescent unless N(G) is a perfect integer cube r^3
+  (the argument is `descent._classify_integral`'s, shared with
+  `classify`).  Within the bound r is taken from a float64 seed, the
+  rounded-down `np.cbrt` of N(G), within 1 of the true cube root, and
+  corrected to the exact floor with int64 cubes: down by one where
+  r^3 > N(G), then up by one where (r + 1)^3 <= N(G); r < 2^21, so
+  (r + 1)^3 < 2^63.  G = 0, N(G) = 0, is Undefined.  Only points with
+  N(G) = r^3 > 0 reach Python integers.
+* Past the filter, `descent._past_norm_filter`, the last step of
+  `_classify_integral` on either path, finds G Disconnected when it is a
   cube and Descends with the witness G/r otherwise.
   A Descends point is checked once, in Z[w]: the form, G^2 conj(G) = r^3 G
   (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
@@ -61,6 +78,7 @@ from .descent import (
     _classify_integral,
     _cover_coefficients,
     _homogeneous_value,
+    _past_norm_filter,
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
@@ -83,12 +101,13 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # c = ceil(b/128)^2 charges each step by the b bits of the largest scaled
 # coefficient D^3 c_i, as `intfactor` charges a rho step; c = 1 up to 128
 # bits, so the heights below hold for such coefficients.  At degree 3
-# it allows H <= 499, 303,664 points.  There the CLI took 2.2-3.0 s and peaked
-# at 181 MB on t^3 = w z^3, where every finite nonzero point descends and each
-# finding is held as its integers until the writer renders it, and 0.2 s and
-# 33 MB on t^3 = 3(z^3 + 2), where the modular prefilter rejects all but 1,283
-# points.  At degree 99 it allows H <= 99, where t^3 = w z^99 took 0.9-1.2 s
-# and 50 MB for 6.6 MB of JSON, and at degree 3000 H <= 17, where
+# it allows H <= 499, 303,664 points.  There the CLI took 1.7-3.1 s over six
+# runs and peaked at 181 MB on t^3 = w z^3, where every finite nonzero point
+# descends and each finding is held as its integers until the writer renders
+# it, and 0.2-0.4 s and 34 MB on t^3 = 3(z^3 + 2), where the modular
+# prefilter rejects all but 1,283 points.  At degree 99 it allows H <= 99,
+# where t^3 = w z^99 took 0.9-1.2 s and 50 MB for 6.6 MB of JSON, and at
+# degree 3000 H <= 17, where
 # f = 1 + z + ... + z^3000 took 0.3 s and 34 MB.  With the 3,001-digit
 # coefficient 10^3000 w at z^3 (b = 9,966, c = 6,084) it allows H <= 6, which
 # took 0.4-0.6 s and 33 MB; uncharged, H = 60 took 21 s, 81 MB and 18 MB of
@@ -170,14 +189,47 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
     `residues` lists D^3 c_i mod _M as coordinate pairs, leading coefficient
     first; G = sum of D^3 c_i p^i q^(e-i) as in the module docstring.
     """
+    ga, gb = _homogeneous_value(residues, e, p % _M, q % _M, _M)
+    return _is_cube_residue(ga * ga - ga * gb + gb * gb)  # >= 0, below 2^40
+
+
+def _is_cube_residue(norm: np.ndarray) -> np.ndarray:
+    """True where the int64 values norm >= 0, each N(G) or N(G) mod _M, are a
+    cube residue modulo every m of _MODULI."""
     import numpy as np
 
-    ga, gb = _homogeneous_value(residues, e, p % _M, q % _M, _M)
-    norm = ga * ga - ga * gb + gb * gb  # >= 0, below 2^40
-    mask = np.ones(p.shape, dtype=bool)
+    mask = np.ones(norm.shape, dtype=bool)
     for m, table in zip(_MODULI, _cube_residues()):
         mask &= table[norm % m]
     return mask
+
+
+def _int64_cbrt(n: np.ndarray) -> np.ndarray:
+    """floor(n^(1/3)) for int64 values 0 <= n < 2^62, exactly.
+
+    The float cube root is within 1 of the true one, so one step down where
+    r^3 > n and one step up where (r + 1)^3 <= n give the floor; r < 2^21,
+    so (r + 1)^3 < 2^63.
+    """
+    import numpy as np
+
+    r = np.cbrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r * r > n
+    r += (r + 1) * (r + 1) * (r + 1) <= n
+    return r
+
+
+def _checked_finding(p: int, q: int, ga: int, gb: int, r: int) -> tuple[int, int, int, int, int]:
+    """The finding (p, q, ga, gb, r) of a Descends point, once G = ga + gb*w
+    passes the form check and the Galois identity of the module docstring."""
+    norm = r * r * r
+    g2a, g2b = _mul(ga, gb, ga, gb)
+    fa, fb = _mul(g2a, g2b, ga - gb, -gb)  # G^2 conj(G) = r^3 form(G/r)
+    if (fa, fb) != (ga * norm, gb * norm):
+        raise AssertionError(f"witness at z={Fraction(p, q)} fails the form check")
+    if (g2a * norm, g2b * norm) != _mul(fa, fb, ga, gb):  # G^2 r^3 = conj(G) G^3
+        raise AssertionError(f"witness at z={Fraction(p, q)} fails the Galois identity")
+    return p, q, ga, gb, r
 
 
 def _finding_strings(finding: tuple[int, int, int, int, int], d: int,
@@ -251,38 +303,54 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
     `scaled` and e are those of `descent._cover_coefficients`.  Also returns
     the Descends findings as (p, q, ga, gb, r) and the counters of the walk:
     the points, those rejected by the modular prefilter and by the norm
-    filter, and the `_cube_root` calls.
+    filter, the `_cube_root` calls, and the points decided in int64.
     """
     import numpy as np
 
     counts = {kind.value: 0 for kind in DescentKind}
     no_descent, descends = DescentKind.NO_DESCENT.value, DescentKind.DESCENDS.value
-    modular_rejects = 0
+    modular_rejects = int64_points = 0
     found = []
     residues = [(a % _M, b % _M) for a, b in scaled]
+    weight = sum(abs(a) + abs(b) for a, b in scaled)
     for ps, qs in _point_blocks(height):
-        keep = _cube_residue_mask(residues, e, ps, qs)
-        modular_rejects += len(ps) - int(np.count_nonzero(keep))
-        for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
-            ga, gb = _homogeneous_value(scaled, e, p, q)
-            kind, root = _classify_integral(ga, gb)
-            counts[kind] += 1
-            if kind != descends:
-                continue
-            norm = root * root * root
-            g2a, g2b = _mul(ga, gb, ga, gb)
-            fa, fb = _mul(g2a, g2b, ga - gb, -gb)  # G^2 conj(G) = r^3 form(G/r)
-            if (fa, fb) != (ga * norm, gb * norm):
-                raise AssertionError(f"witness at z={Fraction(p, q)} fails the form check")
-            if (g2a * norm, g2b * norm) != _mul(fa, fb, ga, gb):  # G^2 r^3 = conj(G) G^3
-                raise AssertionError(f"witness at z={Fraction(p, q)} fails the Galois identity")
-            found.append((p, q, ga, gb, root))
+        top = int(max(ps.max(), -ps.min(), qs.max()))  # the block's largest height
+        if 3 * (weight * top ** e) ** 2 < 2 ** 62:
+            # with B = weight * top^e, every Horner partial sum and both
+            # coordinates of G are at most B, each power of q at most
+            # top^(e+1) <= B^2, and N(G) <= 3 B^2 < 2^62: all exact in int64
+            int64_points += len(ps)
+            ga, gb = _homogeneous_value(scaled, e, ps, qs)
+            norm = ga * ga - ga * gb + gb * gb
+            keep = _is_cube_residue(norm)
+            modular_rejects += len(ps) - int(np.count_nonzero(keep))
+            ps, qs, ga, gb, norm = ps[keep], qs[keep], ga[keep], gb[keep], norm[keep]
+            root = _int64_cbrt(norm)
+            cube = root * root * root == norm
+            counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
+            counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))
+            past = cube & (norm > 0)
+            for p, q, a, b, r in zip(*(x[past].tolist() for x in (ps, qs, ga, gb, root))):
+                kind = _past_norm_filter(a, b, r)
+                counts[kind] += 1
+                if kind == descends:
+                    found.append(_checked_finding(p, q, a, b, r))
+        else:
+            keep = _cube_residue_mask(residues, e, ps, qs)
+            modular_rejects += len(ps) - int(np.count_nonzero(keep))
+            for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
+                ga, gb = _homogeneous_value(scaled, e, p, q)
+                kind, root = _classify_integral(ga, gb)
+                counts[kind] += 1
+                if kind == descends:
+                    found.append(_checked_finding(p, q, ga, gb, root))
     counts[no_descent] += modular_rejects
     counters = {
         "points": sum(counts.values()),
         "modular_rejects": modular_rejects,
         "norm_rejects": counts[no_descent] - modular_rejects,
         "cube_root_calls": counts[DescentKind.DISCONNECTED.value] + counts[descends],
+        "int64_points": int64_points,
     }
     return counts, found, counters
 

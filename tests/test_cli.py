@@ -666,6 +666,32 @@ class TestUsageErrors:
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
+    @pytest.mark.parametrize("argv,name", [
+        (["reduce", "{n}", "0"], "x"),
+        (["reduce", "0", "--", "-{n}"], "y"),
+        (["verify", "no-solution", "--k", "{n}"], "--k"),
+        (["minimal-modulus", "--max-k", "{n}"], "--max-k"),
+        (["search", "--coeffs", "0,1", "--height", "{n}"], "--height"),
+        (["dump-set", "rhs", "--path", "unused.csv", "--k", "{n}"], "--k"),
+    ])
+    def test_digit_limit_is_named_for_integer_arguments(self, capsys, argv, name):
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * (limit + 1)
+        with pytest.raises(SystemExit) as err:
+            main([a.format(n=nines) for a in argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and nines not in captured.err
+        assert captured.err.endswith(
+            f"error: argument {name}: input number has {limit + 1} digits, above the limit "
+            f"of {limit} digits on integer string conversion\n")
+
+    def test_bad_integer_argument_keeps_argparse_wording(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["reduce", "1.5", "0"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument x: invalid int value: '1.5'\n")
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

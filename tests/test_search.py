@@ -411,20 +411,74 @@ def test_search_counters_account_for_every_finite_point(capsys):
         ("0,0,0,w", 30, None),
         ("w,0,0,1", 40, None),
         ("6,0,0,3", 200, {"points": 48927, "modular_rejects": 48749,
-                          "norm_rejects": 178, "cube_root_calls": 0}),
+                          "norm_rejects": 178, "cube_root_calls": 0, "int64_points": 48927}),
         ("0,0,0,w", 60, {"points": 4407, "modular_rejects": 0,
-                         "norm_rejects": 0, "cube_root_calls": 4406}),
+                         "norm_rejects": 0, "cube_root_calls": 4406, "int64_points": 4407}),
     ]:
         report = search([parse_element(c) for c in coeffs.split(",")], height)
         assert main(["search", "--coeffs", coeffs, "--height", str(height)]) == 0
         c = json.loads(capsys.readouterr().out)["counters"]
-        assert set(c) == {"points", "modular_rejects", "norm_rejects", "cube_root_calls"}
+        assert set(c) == {"points", "modular_rejects", "norm_rejects", "cube_root_calls",
+                          "int64_points"}
         assert c == report.counters
         finite = dict(report.counts)
         finite[report.infinity["classification"]] -= 1
         assert c["points"] == report.n_points - 1 == sum(finite.values())
         assert c["modular_rejects"] + c["norm_rejects"] == finite["NoDescent"]
         assert c["cube_root_calls"] == finite["Disconnected"] + finite["Descends"]
+        assert 0 <= c["int64_points"] <= c["points"]
         if pinned is not None:
             assert c == pinned
     assert search(TARGET_COVER, 60).counters["modular_rejects"] > 0
+
+
+def coefficients(text):
+    return [parse_element(part) for part in text.split(",")]
+
+
+def test_cube_scaling_runs_the_big_int_path_to_the_same_kinds():
+    # 10^6 w = 100^3 w: G is 10^6 times that of w z^3 at every point, so the
+    # kinds agree and r grows by 10^4; int64 is exact only while
+    # 3 (10^6 T^3)^2 < 2^62, for blocks of largest height T <= 10
+    small, large = search(coefficients("0,0,0,w"), 60), search(coefficients("0,0,0,1000000*w"), 60)
+    assert small.counters["int64_points"] == small.counters["points"] == 4407
+    assert large.counters["int64_points"] <= oracle_count(10)
+    assert large.counts == small.counts
+    assert ({k: v for k, v in large.counters.items() if k != "int64_points"}
+            == {k: v for k, v in small.counters.items() if k != "int64_points"})
+    assert large.findings == tuple((p, q, 10**6 * ga, 10**6 * gb, 10**4 * r)
+                                   for p, q, ga, gb, r in small.findings)
+
+
+def test_points_on_both_sides_of_the_int64_bound_match_specialize():
+    # 3 (10^4 T^3)^2 < 2^62 holds for T <= 49, so the bound fails in the
+    # second block of height 60
+    coeffs = coefficients("0,0,0,10000*w")
+    report = search(coeffs, 60)
+    assert 0 < report.counters["int64_points"] < report.counters["points"]
+    points = [(z0, specialize(coeffs, z0)) for z0 in list(enumerate_rationals(60)) + [INFINITY]]
+    counts, n_points, descends = reference_search(points)
+    assert report.counts == counts
+    assert report.n_points == n_points
+    assert list(report.descends) == descends
+    assert report.infinity["classification"] == points[-1][1].kind.value
+
+
+@pytest.mark.parametrize("seed_error", [0.0, -0.99, 0.99])
+def test_int64_cube_root_is_the_floor_at_and_beside_every_cube(monkeypatch, seed_error):
+    # every k with k^3 < 2^62, at k^3 - 1, k^3 and k^3 + 1, whose floors are
+    # k - 1, k and k; icbrt gives the same on a sample that includes the top.
+    # np.cbrt is all but exact here, so seeds moved by almost 1 either way
+    # exercise the two integer corrections.
+    cbrt = np.cbrt
+    monkeypatch.setattr(np, "cbrt", lambda x: cbrt(x) + seed_error)
+    top = icbrt(2**62 - 1)
+    assert top ** 3 < 2**62 <= (top + 1) ** 3
+    k = np.arange(1, top + 1, dtype=np.int64)
+    cubes = k * k * k
+    for shift, expected in ((-1, k - 1), (0, k), (1, k)):
+        assert np.array_equal(search_module._int64_cbrt(cubes + shift), expected), shift
+    assert search_module._int64_cbrt(np.array([0, 2**62 - 1])).tolist() == [0, top]
+    sample = np.r_[1:2000, 2000:top:997, top - 2000:top + 1]
+    n = np.concatenate([sample ** 3 - 1, sample ** 3, sample ** 3 + 1])
+    assert search_module._int64_cbrt(n).tolist() == [icbrt(x) for x in n.tolist()]
