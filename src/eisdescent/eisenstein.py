@@ -14,6 +14,7 @@ is safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -500,6 +501,17 @@ def factor(alpha: EisensteinInt) -> Factorization:
 # mod 7, and to 3 and to 9 mod 13, the roots of x^2 + x + 1 there.
 _CUBES_MOD_7 = frozenset({0, 1, 6})
 _CUBES_MOD_13 = frozenset({0, 1, 5, 8, 12})
+_RESIDUE_MAPS = ((7, 2, _CUBES_MOD_7), (7, 4, _CUBES_MOD_7),
+                 (13, 3, _CUBES_MOD_13), (13, 9, _CUBES_MOD_13))  # (m, w mod m, cubes)
+
+
+@functools.cache
+def _cube_residue_tables() -> tuple:
+    """(m, w mod m, a bool table True at the cube residues mod m) for each
+    map of _RESIDUE_MAPS: `_cube_root`'s residue tests, for int64 arrays."""
+    import numpy as np
+
+    return tuple((m, w, np.isin(np.arange(m), sorted(cubes))) for m, w, cubes in _RESIDUE_MAPS)
 
 
 def _cube_root(a: int, b: int, n: int) -> tuple[int, int] | None:
@@ -517,9 +529,7 @@ def _cube_root(a: int, b: int, n: int) -> tuple[int, int] | None:
     leave beta and conj(beta), which share t and n; y >= 0 is tried first,
     and a candidate is returned only when it cubes to a + b*w exactly.
     """
-    if ((a + 2 * b) % 7 not in _CUBES_MOD_7 or (a + 4 * b) % 7 not in _CUBES_MOD_7
-            or (a + 3 * b) % 13 not in _CUBES_MOD_13
-            or (a + 9 * b) % 13 not in _CUBES_MOD_13):
+    if any((a + w * b) % m not in cubes for m, w, cubes in _RESIDUE_MAPS):
         return None
     trace = 2 * a - b
     lo = -math.isqrt(n)

@@ -16,11 +16,12 @@ plus a newline: json's indented encoding always takes its pure-Python
 encoder, which cost more than classifying the points of an all-Descends
 search.  Strings go through json's C string encoder, other leaves through
 `json.dumps`.  A list member may instead be a `RenderedList`, whose items
-write their own text, one piece per item, through the same chunking.  A
-`search` document holds its Descends findings as integers this way, so no
+write their own text, one piece per item, through the same chunking; an
+item may stand for several list entries.  A `search` document holds its
+Descends findings this way, one item per block of integer columns, so no
 dict of strings is built per finding.  json.dumps cannot encode such a
 document; `dumps_document` writes what json.dumps gives for the same
-document with each item as its dict.
+document with each entry as its dict.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def make_document(report: dict, params: dict, elapsed_s: float,
 
 class RenderedList:
     """A list member whose items render themselves: `render(item, indent)` is
-    the text json.dumps(sort_keys=True, indent=2) writes for the item when
-    `indent` (a line break and the item's indent) precedes it.  The text is
+    the text json.dumps(sort_keys=True, indent=2) writes for the one or more
+    list entries the item stands for, joined by "," and `indent` (a line
+    break and the entries' indent), when `indent` precedes it.  The text is
     written as it is, so any escaping is the renderer's."""
 
     # a plain class: a dataclass would cost every command about 0.6 ms at import

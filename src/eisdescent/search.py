@@ -30,11 +30,11 @@ and each step is exact:
 * The int64 bound.  Let B = sum of (|a| + |b|) over the scaled
   coefficients D^3 c_i = a + b w, times T^e for T the largest height in a
   block.  Every Horner partial sum and both coordinates of G are at most B,
-  and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  When 3 B^2 < 2^62 the block
-  is decided in exact int64: G and N(G) themselves, then the two filters
-  below on whole arrays.  A block past the bound is decided point by point
-  on Python integers, by `descent._classify_integral` on each G that passes
-  the prefilter.
+  and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  A block also ends at the
+  largest height where 3 B^2 < 2^62, and the blocks up to it are decided in
+  exact int64: G and N(G) themselves, then the steps below on whole arrays.
+  A block past the bound is decided point by point on Python integers, by
+  `descent._classify_integral` on each G that passes the prefilter.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
   is NoDescent with no big integer involved.  A block within the bound
@@ -51,18 +51,21 @@ and each step is exact:
   (r + 1)^3 < 2^63.  G = 0, N(G) = 0, is Undefined.  Only points with
   N(G) = r^3 > 0 reach Python integers.
 * Past the filter, `descent._past_norm_filter`, the last step of
-  `_classify_integral` on either path, finds G Disconnected when it is a
-  cube and Descends with the witness G/r otherwise.
-  A Descends point is checked once, in Z[w]: the form, G^2 conj(G) = r^3 G
-  (form(G/r) = G times r^3), and the Galois identity of `galois_commutes`
-  for f(z) = G/s^3 and x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.
-  Its finding is held as those integers (p, q, ga, gb, r), and its text is
-  made from them only when the document is written: `to_report` hands the
-  findings to `reports.dumps_document` as a `RenderedList`, which writes
-  each one as one pre-indented piece of text.  p/q is already in lowest
-  terms, and G/s^3 and G/(r s) are reduced part by part with one gcd each;
-  `_finding_strings` makes these four strings for both the text and the
-  dicts of `SearchReport.descends`.
+  `_classify_integral`, finds G Disconnected when it is a cube and Descends
+  with the witness G/r otherwise.  In an int64 block the residue tests that
+  open `_cube_root` run first on the arrays: a G that fails one is no cube,
+  so Descends, and only the rest reach `_past_norm_filter`.
+* The Descends findings of a block are checked once, on object arrays of
+  Python ints, in Z[w]: the form, G^2 conj(G) = r^3 G (form(G/r) = G times
+  r^3), and the Galois identity of `galois_commutes` for f(z) = G/s^3 and
+  x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.  They are held as the
+  block's columns (p, q, ga, gb, r), and `to_report` hands the blocks to
+  `reports.dumps_document` as a `RenderedList` that writes one piece of
+  text per block.  p/q is in lowest terms; G/s^3 and G/(r s) are reduced
+  part by part with one gcd each.  An int64 block where s^3 = D^3 q^e and
+  r s stay below 2^63 is written as bytes gathered from decimal digit
+  columns; any other block finding by finding, by `_finding_strings`, which
+  also makes the dicts of `SearchReport.descends`.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from .descent import (
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
-from .eisenstein import _fmt_frac, _format_element, _mul
+from .eisenstein import _cube_residue_tables, _fmt_frac, _format_element, _mul
 from .intfactor import _step_units
 from .reports import RenderedList
 
@@ -101,17 +104,17 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # c = ceil(b/128)^2 charges each step by the b bits of the largest scaled
 # coefficient D^3 c_i, as `intfactor` charges a rho step; c = 1 up to 128
 # bits, so the heights below hold for such coefficients.  At degree 3
-# it allows H <= 499, 303,664 points.  There the CLI took 1.7-3.1 s over six
-# runs and peaked at 181 MB on t^3 = w z^3, where every finite nonzero point
-# descends and each finding is held as its integers until the writer renders
-# it, and 0.2-0.4 s and 34 MB on t^3 = 3(z^3 + 2), where the modular
-# prefilter rejects all but 1,283 points.  At degree 99 it allows H <= 99,
-# where t^3 = w z^99 took 0.9-1.2 s and 50 MB for 6.6 MB of JSON, and at
-# degree 3000 H <= 17, where
-# f = 1 + z + ... + z^3000 took 0.3 s and 34 MB.  With the 3,001-digit
-# coefficient 10^3000 w at z^3 (b = 9,966, c = 6,084) it allows H <= 6, which
-# took 0.4-0.6 s and 33 MB; uncharged, H = 60 took 21 s, 81 MB and 18 MB of
-# JSON (2-core x86 VM, Python 3.11, numpy 2.4).
+# it allows H <= 499, 303,664 points.  There the CLI took 1.0-1.5 s over 12
+# runs and peaked at 138 MB on t^3 = w z^3, where every finite nonzero point
+# descends and the findings are held as int64 columns until the writer
+# renders them, and 0.2-0.3 s and 34 MB on t^3 = 3(z^3 + 2), where the
+# modular prefilter rejects all but 1,283 points.  At degree 99 it allows
+# H <= 99, where t^3 = w z^99 took 1.0-1.2 s and 52 MB for 6.6 MB of JSON,
+# and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took 0.4-0.5 s
+# and 34 MB.  With the 3,001-digit coefficient 10^3000 w at z^3 (b = 9,966,
+# c = 6,084) it allows H <= 6, which took 0.4-0.5 s and 34 MB; uncharged,
+# H = 60 took 21 s, 81 MB and 18 MB of JSON (2-core x86 VM, Python 3.11,
+# numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000
 
 
@@ -137,9 +140,10 @@ def _cube_residues() -> tuple[np.ndarray, ...]:
 _BLOCK_POINTS = 4096
 
 
-def _point_blocks(height: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _point_blocks(height: int, cut: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """int64 arrays (p, q), q >= 1, gcd(p, q) = 1, listing every p/q of height
-    <= height once, a block of whole heights at a time.
+    <= height once, a block of whole heights at a time; a block also ends at
+    the height `cut`.
 
     The order is nondecreasing height; 0 = 0/1 (height 1) comes first.
     Within height h come h/q and -h/q for q = 1..h, then p/h and -p/h for
@@ -155,6 +159,8 @@ def _point_blocks(height: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         while hi <= height and size < _BLOCK_POINTS:
             size += 4 * hi - 2
             hi += 1
+            if hi - 1 == cut:
+                break
         heights = np.arange(lo, hi, dtype=np.int64)
         # 2h - 1 magnitudes per height h: h/1 .. h/h, then 1/h .. (h-1)/h
         runs = 2 * heights - 1
@@ -219,16 +225,37 @@ def _int64_cbrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def _checked_finding(p: int, q: int, ga: int, gb: int, r: int) -> tuple[int, int, int, int, int]:
-    """The finding (p, q, ga, gb, r) of a Descends point, once G = ga + gb*w
-    passes the form check and the Galois identity of the module docstring."""
-    norm = r * r * r
-    g2a, g2b = _mul(ga, gb, ga, gb)
-    fa, fb = _mul(g2a, g2b, ga - gb, -gb)  # G^2 conj(G) = r^3 form(G/r)
-    if (fa, fb) != (ga * norm, gb * norm):
-        raise AssertionError(f"witness at z={Fraction(p, q)} fails the form check")
-    if (g2a * norm, g2b * norm) != _mul(fa, fb, ga, gb):  # G^2 r^3 = conj(G) G^3
-        raise AssertionError(f"witness at z={Fraction(p, q)} fails the Galois identity")
+def _descends_past_filter(ga: np.ndarray, gb: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """True where G = ga + gb*w, int64 arrays with N(G) = r^3 >= 1, Descends,
+    as `descent._past_norm_filter` decides: a G that fails one of the residue
+    tests of `_cube_root` is no cube, and only the others reach it."""
+    import numpy as np
+
+    maybe_cube = np.ones(ga.shape, dtype=bool)
+    for m, w, table in _cube_residue_tables():
+        maybe_cube &= table[(ga + w * gb) % m]
+    found = ~maybe_cube
+    for i in maybe_cube.nonzero()[0].tolist():
+        found[i] = _past_norm_filter(int(ga[i]), int(gb[i]), int(r[i])) == "Descends"
+    return found
+
+
+def _checked_block(p, q, ga, gb, r) -> tuple:
+    """The columns (p, q, ga, gb, r) of a block's Descends findings, int64 or
+    object arrays, once every G = ga + gb*w passes the form check and the
+    Galois identity of the module docstring, on Python ints."""
+    a, b, root = (x.astype(object) for x in (ga, gb, r))
+    norm = root * root * root
+    g2a, g2b = _mul(a, b, a, b)
+    fa, fb = _mul(g2a, g2b, a - b, -b)  # G^2 conj(G) = r^3 form(G/r)
+    form = (fa != a * norm) | (fb != b * norm)
+    ha, hb = _mul(fa, fb, a, b)
+    galois = (g2a * norm != ha) | (g2b * norm != hb)  # G^2 r^3 = conj(G) G^3
+    bad = (form | galois).nonzero()[0]
+    if bad.size:
+        i = bad[0]
+        check = "form check" if form[i] else "Galois identity"
+        raise AssertionError(f"witness at z={Fraction(int(p[i]), int(q[i]))} fails the {check}")
     return p, q, ga, gb, r
 
 
@@ -244,7 +271,75 @@ def _finding_strings(finding: tuple[int, int, int, int, int], d: int,
             _fmt_frac(ga, rs), _fmt_frac(gb, rs))  # x + w y = G/(r s)
 
 
-@dataclass(frozen=True)
+def _digits(v: np.ndarray) -> np.ndarray:
+    """uint8 rows of the ASCII decimal digits of the int64 values v >= 0,
+    right-aligned, with the byte 0 in place of each leading zero."""
+    import numpy as np
+
+    width = len(str(int(v.max())))
+    digits = np.empty((width, len(v)), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):  # the last digit first
+        rest = v // 10
+        digit = v - 10 * rest + ord("0")
+        if k < width - 1:  # 0 is written "0"
+            digit *= v > 0
+        digits[k] = digit
+        v = rest
+    return digits.T
+
+
+def _fraction(n: np.ndarray, d: np.ndarray, reduce: bool = True) -> list[np.ndarray]:
+    """uint8 columns of n/d as `_fmt_frac` writes it, for int64 arrays, d >= 1:
+    sign, numerator, slash and denominator, with the byte 0 where unwritten.
+    With reduce=False n/d must already be in lowest terms."""
+    import numpy as np
+
+    if reduce:
+        g = np.gcd(n, d)
+        n, d = n // g, d // g
+    whole = (d == 1)[:, np.newaxis]
+    sign = np.where(n < 0, ord("-"), 0).astype(np.uint8)[:, np.newaxis]
+    return [sign, _digits(np.abs(n)), np.where(whole, np.uint8(0), np.uint8(ord("/"))),
+            np.where(whole, np.uint8(0), _digits(d))]
+
+
+def _block_text(p, q, ga, gb, s3, rs, indent: str) -> str:
+    """What `SearchReport._render_finding` writes for each finding of a block,
+    joined by "," and `indent`, gathered from int64 columns: p, q, G = ga +
+    gb*w != 0, s^3 and r s as in the module docstring."""
+    import numpy as np
+
+    i1 = indent + "  "
+    i2 = i1 + "  "
+
+    def text(t: str) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(t.encode("ascii"), dtype=np.uint8), (len(p), len(t)))
+
+    def part(keep: np.ndarray, columns) -> list[np.ndarray]:
+        # a part of a = f(z) is written only where its coordinate is nonzero
+        if not keep.any():
+            return []
+        return columns() if keep.all() else [np.where(keep[:, np.newaxis], c, np.uint8(0))
+                                             for c in columns()]
+
+    def b_part() -> list[np.ndarray]:
+        # the w part's sign: "+" after an a part, "-" when negative
+        sign = np.where(gb < 0, ord("-"), np.where(ga != 0, ord("+"), 0)).astype(np.uint8)
+        return [sign[:, np.newaxis], *_fraction(np.abs(gb), s3)[1:], text("*w")]
+
+    columns = [text(f'{{{i1}"a": "'),
+               *part(ga != 0, lambda: _fraction(ga, s3)),
+               *part(gb != 0, b_part),
+               text(f'",{i1}"witness": {{{i2}"x": "'), *_fraction(ga, rs),
+               text(f'",{i2}"y": "'), *_fraction(gb, rs),
+               text(f'"{i1}}},{i1}"z": "'), *_fraction(p, q, reduce=False),
+               text(f'"{indent}}},{indent}')]
+    flat = np.concatenate(columns, axis=1).ravel()
+    # drops the pad (the digit 0 is byte 48) and the last separator
+    return flat[flat != 0].tobytes()[:-len(indent) - 1].decode("ascii")
+
+
+@dataclass(frozen=True, eq=False)
 class SearchReport:
     """Classification tally for one cover and height bound.
 
@@ -252,7 +347,9 @@ class SearchReport:
     n_points; every Descends finding has passed the form check and the
     Galois-commutation identity.  A finding is held as its integers
     (p, q, ga, gb, r): the point p/q in lowest terms, G = ga + gb*w and
-    r^3 = N(G).  `scale` is (d, e) of `descent._cover_coefficients`, which
+    r^3 = N(G); `blocks` holds them as columns, one tuple of five int64 or
+    object arrays per block of the walk that found any, and `findings` as
+    tuples.  `scale` is (d, e) of `descent._cover_coefficients`, which
     with p and q give s = d * q^(e/3), f(p/q) = G/s^3 and the witness G/(r s).
     `to_report` gives the document's "report" section; `counters` goes in the
     document beside it.
@@ -262,10 +359,16 @@ class SearchReport:
     coefficients: tuple[str, ...]
     counts: dict[str, int]
     n_points: int
-    findings: tuple[tuple[int, int, int, int, int], ...]
+    blocks: tuple[tuple[np.ndarray, ...], ...]
     scale: tuple[int, int]
     infinity: dict
     counters: dict[str, int]
+
+    @property
+    def findings(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Each Descends finding as (p, q, ga, gb, r), in report order."""
+        return tuple(finding for block in self.blocks
+                     for finding in zip(*(x.tolist() for x in block)))
 
     @property
     def descends(self) -> tuple[dict, ...]:
@@ -283,6 +386,16 @@ class SearchReport:
         return (f'{{{i1}"a": "{a}",{i1}"witness": {{{i2}"x": "{x}",{i2}"y": "{y}"'
                 f'{i1}}},{i1}"z": "{z}"{indent}}}')
 
+    def _render_block(self, block: tuple, indent: str) -> str:
+        p, q, ga, gb, r = block
+        d, e = self.scale
+        top = int(q.max())
+        if (p.dtype != object and d ** 3 * top ** e < 2 ** 63
+                and int(r.max()) * d * top ** (e // 3) < 2 ** 63):
+            return _block_text(p, q, ga, gb, d ** 3 * q ** e, r * (d * q ** (e // 3)), indent)
+        return ("," + indent).join(self._render_finding(finding, indent)
+                                   for finding in zip(*(x.tolist() for x in block)))
+
     def to_report(self) -> dict:
         """Its "descends" member is a `RenderedList` that `dumps_document`
         writes as the list `descends` holds."""
@@ -291,7 +404,7 @@ class SearchReport:
             "coefficients": list(self.coefficients),
             "counts": dict(sorted(self.counts.items())),
             "n_points": self.n_points,
-            "descends": RenderedList(self.findings, self._render_finding),
+            "descends": RenderedList(self.blocks, self._render_block),
             "infinity": self.infinity,
         }
 
@@ -301,24 +414,27 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
     """Tally the finite points of height <= `height`; see the module docstring.
 
     `scaled` and e are those of `descent._cover_coefficients`.  Also returns
-    the Descends findings as (p, q, ga, gb, r) and the counters of the walk:
-    the points, those rejected by the modular prefilter and by the norm
-    filter, the `_cube_root` calls, and the points decided in int64.
+    the Descends findings as the checked columns (p, q, ga, gb, r) of each
+    block that has any, and the counters of the walk: the points, those
+    rejected by the modular prefilter and by the norm filter, the
+    `_cube_root` calls, and the points decided in int64.
     """
     import numpy as np
 
     counts = {kind.value: 0 for kind in DescentKind}
     no_descent, descends = DescentKind.NO_DESCENT.value, DescentKind.DESCENDS.value
     modular_rejects = int64_points = 0
-    found = []
+    blocks = []
     residues = [(a % _M, b % _M) for a, b in scaled]
     weight = sum(abs(a) + abs(b) for a, b in scaled)
-    for ps, qs in _point_blocks(height):
-        top = int(max(ps.max(), -ps.min(), qs.max()))  # the block's largest height
-        if 3 * (weight * top ** e) ** 2 < 2 ** 62:
-            # with B = weight * top^e, every Horner partial sum and both
-            # coordinates of G are at most B, each power of q at most
-            # top^(e+1) <= B^2, and N(G) <= 3 B^2 < 2^62: all exact in int64
+    # the largest height T with 3 B^2 < 2^62, B = weight * T^e: every Horner
+    # partial sum and both coordinates of G are at most B, each power of q at
+    # most T^(e+1) <= B^2, and N(G) <= 3 B^2, so blocks up to T are exact in int64
+    last = 0
+    while last < height and 3 * (weight * (last + 1) ** e) ** 2 < 2 ** 62:
+        last += 1
+    for ps, qs in _point_blocks(height, last):
+        if max(ps.max(), -ps.min(), qs.max()) <= last:  # the block's largest height
             int64_points += len(ps)
             ga, gb = _homogeneous_value(scaled, e, ps, qs)
             norm = ga * ga - ga * gb + gb * gb
@@ -330,20 +446,24 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
             counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
             counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))
             past = cube & (norm > 0)
-            for p, q, a, b, r in zip(*(x[past].tolist() for x in (ps, qs, ga, gb, root))):
-                kind = _past_norm_filter(a, b, r)
-                counts[kind] += 1
-                if kind == descends:
-                    found.append(_checked_finding(p, q, a, b, r))
+            ps, qs, ga, gb, root = ps[past], qs[past], ga[past], gb[past], root[past]
+            found = _descends_past_filter(ga, gb, root)
+            counts[descends] += int(np.count_nonzero(found))
+            counts[DescentKind.DISCONNECTED.value] += len(found) - int(np.count_nonzero(found))
+            block = tuple(x[found] for x in (ps, qs, ga, gb, root))
         else:
             keep = _cube_residue_mask(residues, e, ps, qs)
             modular_rejects += len(ps) - int(np.count_nonzero(keep))
+            rows = []
             for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
                 ga, gb = _homogeneous_value(scaled, e, p, q)
                 kind, root = _classify_integral(ga, gb)
                 counts[kind] += 1
                 if kind == descends:
-                    found.append(_checked_finding(p, q, ga, gb, root))
+                    rows.append((p, q, ga, gb, root))
+            block = tuple(np.array(column, dtype=object) for column in zip(*rows))
+        if block and len(block[0]):
+            blocks.append(_checked_block(*block))
     counts[no_descent] += modular_rejects
     counters = {
         "points": sum(counts.values()),
@@ -352,7 +472,7 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
         "cube_root_calls": counts[DescentKind.DISCONNECTED.value] + counts[descends],
         "int64_points": int64_points,
     }
-    return counts, found, counters
+    return counts, blocks, counters
 
 
 def search(coefficients: Sequence, height: int) -> SearchReport:
@@ -381,7 +501,7 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
                          f"the bound MAX_SEARCH_WORK = {MAX_SEARCH_WORK}; the largest "
                          f"height allowed at degree {n} is {top}")
 
-    counts, findings, counters = _classify_points(scaled, e, height)
+    counts, blocks, counters = _classify_points(scaled, e, height)
     ga, gb = _homogeneous_value(scaled, e, 1, 0)  # infinity is (1 : 0)
     inf_kind = _classify_integral(ga, gb)[0]
     counts[inf_kind] += 1
@@ -396,7 +516,7 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
         coefficients=coeff_strs,
         counts=counts,
         n_points=sum(counts.values()),
-        findings=tuple(findings),
+        blocks=tuple(blocks),
         scale=(d, e),
         infinity=infinity_entry,
         counters=counters,

@@ -127,27 +127,30 @@ def test_dump_form_image_k8_peak_rss_under_180_mb(tmp_path):
 
 @linux_only
 def test_all_descends_search_h250_peak_rss_under_140_mb():
-    # Every finite nonzero point descends and each finding is held as its
-    # integers (p, q, ga, gb, r) until the writer renders it: about 67 MB for
-    # the process (104 MB with a dict of strings per finding, 179 MB with
-    # Fraction-built findings and json's indented encoder).
+    # Every finite nonzero point descends and the findings are held as int64
+    # columns (p, q, ga, gb, r) per block until the writer renders them: about
+    # 60 MB for the process (68 MB with a tuple of ints per finding, 104 MB
+    # with a dict of strings, 179 MB with Fraction-built findings and json's
+    # indented encoder).
     out, _, peak_mb = run_fresh("search", "--coeffs", "0,0,0,w", "--height", "250")
     assert json.loads(out)["report"]["counts"]["Descends"] == 76_095
     assert peak_mb < 140
 
 
 @linux_only
-def test_all_descends_search_at_the_largest_height_peaks_under_250_mb():
+def test_all_descends_search_at_the_largest_height_peaks_under_160_mb():
     # H = 499, the largest height MAX_SEARCH_WORK allows at degree 3: 303,662
-    # finite findings and 46 MB of JSON, about 181 MB for the process (314 MB
-    # with a dict of strings per finding).  The counts are read from the text,
-    # since parsing every finding would cost this process more than the child.
+    # finite findings and 46 MB of JSON, about 138 MB for the process with the
+    # findings held as int64 columns per block (181 MB with a tuple of ints
+    # per finding, 314 MB with a dict of strings).  The counts are read from
+    # the text, since parsing every finding would cost this process more than
+    # the child.
     out, _, peak_mb = run_fresh("search", "--coeffs", "0,0,0,w", "--height", "499")
     start = out.index('"counts": ') + len('"counts": ')
     counts = json.loads(out[start:out.index("}", start) + 1])
     assert counts == {"Descends": 303_663, "Disconnected": 0, "NoDescent": 0, "Undefined": 1}
     assert out.count('"witness": {') == 303_662  # every finite point but 0; infinity too descends
-    assert peak_mb < 250
+    assert peak_mb < 160
 
 
 # numpy is imported only by the functions that scan the finite rings or the

@@ -436,6 +436,12 @@ def test_cube_residue_tables_are_the_cube_residues():
     # _cube_root sends w to 2 and 4 mod 7, to 3 and 9 mod 13
     for p, roots in ((7, [2, 4]), (13, [3, 9])):
         assert [x for x in range(p) if (x * x + x + 1) % p == 0] == roots
+    assert [(m, w) for m, w, _ in eisenstein._RESIDUE_MAPS] == [(7, 2), (7, 4), (13, 3), (13, 9)]
+    tables = eisenstein._cube_residue_tables()
+    for (m, w, cubes), (tm, tw, table) in zip(eisenstein._RESIDUE_MAPS, tables, strict=True):
+        assert (tm, tw) == (m, w) and table.dtype == bool
+        assert table.nonzero()[0].tolist() == sorted(cubes)
+    assert eisenstein._cube_residue_tables() is tables
 
 
 def test_cube_root_matches_brute_force_over_a_box():

@@ -1,15 +1,19 @@
 """`dumps_document` writes exactly what json.dumps(sort_keys=True, indent=2) does."""
 
+import importlib
 import json
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisdescent import OMEGA, EisensteinRational, cli, reports, search
 from eisdescent.reports import RenderedList, dumps_document
+
+search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
 
 
 def reference_dumps(value):
@@ -148,3 +152,51 @@ def test_empty_rendered_list_writes_brackets():
     assert report.findings == () and report.descends == ()
     assert '"descends": [],' in dumps_document({"report": report.to_report()})
     assert dumps_document({"a": RenderedList((), None)}) == reference_dumps({"a": []})
+
+
+def test_gathered_and_finding_by_finding_blocks_mix_in_one_document(monkeypatch):
+    # 3 (10^6 T^3)^2 < 2^62 up to T = 10: the block of heights 1..10 is decided
+    # and gathered in int64, the rest on Python ints and written finding by finding
+    gathered = []
+    block_text = search_module._block_text
+    monkeypatch.setattr(search_module, "_block_text",
+                        lambda *args: gathered.append(len(args[0])) or block_text(*args))
+    report = search([0, 0, 0, EisensteinRational.from_coords(0, 10**6)], 60)
+    assert [b[0].dtype for b in report.blocks] == [np.int64] + [object] * (len(report.blocks) - 1)
+    assert len(report.blocks) > 1
+    document = {"report": report.to_report()}
+    assert dumps_document(document) == reference_dumps(with_descends_as_dicts(document, report))
+    assert gathered == [len(report.blocks[0][0])]
+
+
+@pytest.mark.parametrize("scale", [(1, 3), (2, 3), (1, 6), (5, 9)])
+def test_gathered_block_text_equals_the_text_of_each_finding(scale):
+    # the text depends only on the integers, so any columns serve: zero,
+    # negative and one-digit values, and values up to 19 digits
+    rng = np.random.default_rng(sum(scale))
+    d, e = scale
+    n = 3000
+    q = rng.integers(1, 60, n)
+    p = rng.integers(-10**6, 10**6, n)
+    p[::7] = 0
+    q[::7] = 1
+    g = np.gcd(p, q)
+    p, q = p // g, q // g
+    top = 2**62 // (d * q.max() ** (e // 3))
+    r = rng.integers(1, max(2, min(top, 2**40)), n)
+    ga, gb = rng.integers(-2**62, 2**62, (2, n))
+    for column in (ga, gb):
+        column[1::5] %= 10  # short values beside long ones
+    r[1::5] = r[1::5] % 9 + 1
+    ga[2::9] = 0
+    gb[3::9] = 0
+    gb[4::9] = -ga[4::9]
+    gb[(ga == 0) & (gb == 0)] = 1  # G != 0 at every finding
+    block = (p, q, ga, gb, r)
+    report = search_module.SearchReport(1, (), {}, 0, (block,), scale, {}, {})
+    indent = "\n      "
+    s = d * q ** (e // 3)
+    text = search_module._block_text(p, q, ga, gb, s ** 3, r * s, indent)
+    findings = zip(*(x.tolist() for x in block))
+    assert text == ("," + indent).join(report._render_finding(f, indent) for f in findings)
+    assert report._render_block(block, indent) == text

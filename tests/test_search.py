@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -26,7 +27,7 @@ from eisdescent import (
 )
 from eisdescent import eisenstein
 from eisdescent.cli import main
-from eisdescent.descent import _homogeneous_value
+from eisdescent.descent import _homogeneous_value, _past_norm_filter
 from eisdescent.intfactor import icbrt
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -482,3 +483,99 @@ def test_int64_cube_root_is_the_floor_at_and_beside_every_cube(monkeypatch, seed
     sample = np.r_[1:2000, 2000:top:997, top - 2000:top + 1]
     n = np.concatenate([sample ** 3 - 1, sample ** 3, sample ** 3 + 1])
     assert search_module._int64_cbrt(n).tolist() == [icbrt(x) for x in n.tolist()]
+
+
+def report_section(coeffs, height, capsys):
+    """sha256 of the CLI document's "report" section, its lines to the end,
+    and the document's counters."""
+    assert main(["search", f"--coeffs={coeffs}", "--height", str(height)]) == 0
+    out = capsys.readouterr().out
+    section = out[out.index('\n  "report": {') + 1:]
+    return hashlib.sha256(section.encode("ascii")).hexdigest(), json.loads(out)["counters"]
+
+
+@pytest.mark.parametrize("coeffs,height,last,sha", [
+    # 3 (28 T^6)^2 < 2^62 up to T = 18; 3 (10^6 T^3)^2 < 2^62 up to T = 10
+    ("1,2,3,4,5,6,7", 30, 18, "64404b423f2b310b3b1291990659e524bb291ac80439054d8e833b8d31962ae7"),
+    ("0,0,0,1000000*w", 60, 10, "acc5dd193d32517c5be901acf921861320a09dfc07d576864548c5df9484d096"),
+])
+def test_a_block_ends_at_the_last_height_within_the_int64_bound(capsys, coeffs, height, last,
+                                                                sha):
+    # every point of height <= last is decided in int64, and the report
+    # section keeps the bytes it had when such covers had no int64 block
+    section_sha, counters = report_section(coeffs, height, capsys)
+    assert counters["int64_points"] == oracle_count(last)
+    assert section_sha == sha
+    cover = coefficients(coeffs)
+    report = search(cover, height)
+    points = [(z0, specialize(cover, z0)) for z0 in list(enumerate_rationals(height)) + [INFINITY]]
+    counts, n_points, descends = reference_search(points)
+    assert report.counts == counts and report.n_points == n_points
+    assert list(report.descends) == descends
+
+
+@pytest.mark.parametrize("cut", [1, 2, 10, 18, PAST_FIRST_BLOCK, 59, 60, 99])
+def test_blocks_end_at_the_cut_and_keep_the_walk(cut):
+    blocks = list(search_module._point_blocks(60, cut))
+    pairs = [pair for p, q in blocks for pair in zip(p.tolist(), q.tolist())]
+    assert pairs == list(python_lowest_terms(60))
+    tops = [int(max(abs(p).max(), q.max())) for p, q in blocks]
+    assert tops == sorted(set(tops)) and tops[-1] == 60
+    assert cut in tops or cut > 60
+
+
+def test_array_cube_test_agrees_with_the_past_norm_filter():
+    # 5,000 each of random elements, cubes, w times cubes and form values, all
+    # with N(G) < 2^62; r = floor(N(G)^(1/3)), a cube root only for the last three
+    rng = np.random.default_rng(26)
+    a, b = rng.integers(-2**30, 2**30, (2, 5000))
+    x, y = rng.integers(-700, 701, (2, 5000))
+    ca, cb = eisenstein._mul(*eisenstein._mul(x, y, x, y), x, y)
+    fa, fb = eisenstein._mul(*eisenstein._mul(x, y, x, y), x - y, -y)
+    ga = np.concatenate([a, ca, -cb, fa])  # w (c + d w) = -d + (c - d) w
+    gb = np.concatenate([b, cb, ca - cb, fb])
+    assert len(ga) == 20_000 and np.all((ga != 0) | (gb != 0))
+    r = np.array([icbrt(n) for n in (ga * ga - ga * gb + gb * gb).tolist()], dtype=np.int64)
+    found = search_module._descends_past_filter(ga, gb, r)
+    expected = [_past_norm_filter(*t) == "Descends"
+                for t in zip(ga.tolist(), gb.tolist(), r.tolist())]
+    assert found.tolist() == expected
+    assert set(expected) == {True, False}
+
+
+def corrupt(block, column, i, delta):
+    """`block` with `delta` added to column `column` of its finding i."""
+    columns = [x.copy() for x in block]
+    columns[column][i] += delta
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("coeffs,height,dtype", [("0,0,0,w", 30, np.int64),
+                                                 ("0,0,0,1000000*w", 30, object)])
+@pytest.mark.parametrize("column", [2, 3, 4])  # ga, gb, r
+def test_block_check_names_the_first_failing_point(coeffs, height, dtype, column):
+    block = next(b for b in search(coefficients(coeffs), height).blocks if b[0].dtype == dtype)
+    checked = search_module._checked_block(*block)
+    assert all(x is y for x, y in zip(checked, block, strict=True))
+    mid = len(block[0]) // 2
+    for i in (mid, mid + 1):
+        for delta in (1, -1):
+            z = Fraction(int(block[0][i]), int(block[1][i]))
+            with pytest.raises(AssertionError, match=f"^witness at z={z} fails the form check$"):
+                search_module._checked_block(*corrupt(block, column, i, delta))
+    # two bad points: the first in report order is named
+    twice = corrupt(corrupt(block, column, mid + 1, 1), column, mid, 1)
+    z = Fraction(int(block[0][mid]), int(block[1][mid]))
+    with pytest.raises(AssertionError, match=f"^witness at z={z} fails"):
+        search_module._checked_block(*twice)
+
+
+def test_block_check_takes_values_past_int64():
+    # the identities are checked on Python ints: G = 10^30 w p^3 is exact
+    p = np.array([1, 2, 3], dtype=object)
+    q = np.array([1, 1, 1], dtype=object)
+    gb = 10**30 * p ** 3
+    block = (p, q, 0 * gb, gb, 10**20 * p ** 2)
+    search_module._checked_block(*block)
+    with pytest.raises(AssertionError, match="^witness at z=2 fails the form check$"):
+        search_module._checked_block(*corrupt(block, 3, 1, 1))
