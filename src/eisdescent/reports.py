@@ -16,8 +16,8 @@ plus a newline: json's indented encoding always takes its pure-Python
 encoder, which cost more than classifying the points of an all-Descends
 search.  Strings go through json's C string encoder, other leaves through
 `json.dumps`.  A list member may instead be a `RenderedList`, whose items
-write their own text, one piece per item, through the same chunking; an
-item may stand for several list entries.  A `search` document holds its
+write their own text, in pieces, through the same chunking; an item may
+stand for several list entries.  A `search` document holds its
 Descends findings this way, one item per block of integer columns, so no
 dict of strings is built per finding.  json.dumps cannot encode such a
 document; `dumps_document` writes what json.dumps gives for the same
@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = ["RenderedList", "dumps_document", "fingerprint", "make_document"]
 
@@ -53,16 +53,17 @@ def make_document(report: dict, params: dict, elapsed_s: float,
 
 
 class RenderedList:
-    """A list member whose items render themselves: `render(item, indent)` is
-    the text json.dumps(sort_keys=True, indent=2) writes for the one or more
-    list entries the item stands for, joined by "," and `indent` (a line
-    break and the entries' indent), when `indent` precedes it.  The text is
-    written as it is, so any escaping is the renderer's."""
+    """A list member whose items render themselves: `render(item, indent)`
+    gives pieces of text that join to what json.dumps(sort_keys=True,
+    indent=2) writes for the one or more list entries the item stands for,
+    joined by "," and `indent` (a line break and the entries' indent), when
+    `indent` precedes it.  The text is written as it is, so any escaping is
+    the renderer's."""
 
     # a plain class: a dataclass would cost every command about 0.6 ms at import
     __slots__ = ("items", "render")
 
-    def __init__(self, items: Sequence, render: Callable[[Any, str], str]) -> None:
+    def __init__(self, items: Sequence, render: Callable[[Any, str], Iterable[str]]) -> None:
         self.items = items
         self.render = render
 
@@ -80,6 +81,7 @@ def dumps_document(document: dict) -> str:
     _write(chunks, pieces, document, "\n")
     pieces.append("\n")
     chunks.append("".join(pieces))
+    pieces.clear()  # so the pieces are not held beside the joined text
     return "".join(chunks)
 
 
@@ -115,7 +117,7 @@ def _write(chunks: list[str], pieces: list[str], value, newline: str) -> None:
             if render is None:
                 _write(chunks, pieces, item, inner)
             else:
-                pieces.append(render(item, inner))
+                pieces.extend(render(item, inner))
             sep = "," + inner
             if len(pieces) >= _FLUSH_PIECES:
                 chunks.append("".join(pieces))

@@ -37,8 +37,10 @@ and each step is exact:
   `descent._classify_integral` on each G that passes the prefilter.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
-  is NoDescent with no big integer involved.  A block within the bound
-  reads N(G) mod m from N(G) itself.  Past the bound, G mod M,
+  is NoDescent with no big integer involved.  Their tables are joined into
+  one mod 7*9*13 = 819, read at every point, and one mod 19*37 = 703, read
+  only at the 45 of 819 residues that pass the first.  A block within the
+  bound reads N(G) mod m from N(G) itself.  Past the bound, G mod M,
   M = 7*9*13*19*37 = 575,757, depends only on p and q mod M, so the
   evaluator reduced mod M at each step and the norm run in int64, all
   below 2^60, and each m divides M.
@@ -55,17 +57,19 @@ and each step is exact:
   with the witness G/r otherwise.  In an int64 block the residue tests that
   open `_cube_root` run first on the arrays: a G that fails one is no cube,
   so Descends, and only the rest reach `_past_norm_filter`.
-* The Descends findings of a block are checked once, on object arrays of
-  Python ints, in Z[w]: the form, G^2 conj(G) = r^3 G (form(G/r) = G times
-  r^3), and the Galois identity of `galois_commutes` for f(z) = G/s^3 and
-  x + w y = G/(r s), which is G^2 r^3 = conj(G) G^3.  They are held as the
-  block's columns (p, q, ga, gb, r), and `to_report` hands the blocks to
-  `reports.dumps_document` as a `RenderedList` that writes one piece of
-  text per block.  p/q is in lowest terms; G/s^3 and G/(r s) are reduced
+* The Descends findings of a block are checked once, on its arrays: the
+  form, G^2 conj(G) = r^3 G (form(G/r) = G times r^3), and the Galois
+  identity of `galois_commutes` for f(z) = G/s^3 and x + w y = G/(r s),
+  conj(G) G^3 = r^3 G^2, are G (N(G) - r^3) = 0 and G^2 (N(G) - r^3) = 0.
+  Z[w] is a domain and G != 0, so both hold exactly when G conj(G) = r^3,
+  the one product checked; in int64 its terms are at most 4 B^2 < 2^63.
+  The findings are held as the block's columns (p, q, ga, gb, r), and
+  `to_report` hands the blocks to `reports.dumps_document` as a
+  `RenderedList`.  p/q is in lowest terms; G/s^3 and G/(r s) are reduced
   part by part with one gcd each.  An int64 block where s^3 = D^3 q^e and
-  r s stay below 2^63 is written as bytes gathered from decimal digit
-  columns; any other block finding by finding, by `_finding_strings`, which
-  also makes the dicts of `SearchReport.descends`.
+  r s stay below 2^63 is written as one piece, bytes gathered from decimal
+  digit columns; any other block a piece per finding, by
+  `_finding_strings`, which also makes the dicts of `SearchReport.descends`.
 """
 
 from __future__ import annotations
@@ -104,24 +108,25 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # c = ceil(b/128)^2 charges each step by the b bits of the largest scaled
 # coefficient D^3 c_i, as `intfactor` charges a rho step; c = 1 up to 128
 # bits, so the heights below hold for such coefficients.  At degree 3
-# it allows H <= 499, 303,664 points.  There the CLI took 1.0-1.5 s over 12
-# runs and peaked at 138 MB on t^3 = w z^3, where every finite nonzero point
+# it allows H <= 499, 303,664 points.  There the CLI took 0.50-0.89 s over six
+# runs and peaked at 136 MB on t^3 = w z^3, where every finite nonzero point
 # descends and the findings are held as int64 columns until the writer
-# renders them, and 0.2-0.3 s and 34 MB on t^3 = 3(z^3 + 2), where the
+# renders them, and 0.14-0.26 s and 34 MB on t^3 = 3(z^3 + 2), where the
 # modular prefilter rejects all but 1,283 points.  At degree 99 it allows
-# H <= 99, where t^3 = w z^99 took 1.0-1.2 s and 52 MB for 6.6 MB of JSON,
-# and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took 0.4-0.5 s
+# H <= 99, where t^3 = w z^99 took 0.9-1.2 s and 51.6 MB for 6.6 MB of JSON,
+# and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took 0.57 s
 # and 34 MB.  With the 3,001-digit coefficient 10^3000 w at z^3 (b = 9,966,
-# c = 6,084) it allows H <= 6, which took 0.4-0.5 s and 34 MB; uncharged,
-# H = 60 took 21 s, 81 MB and 18 MB of JSON (2-core x86 VM, Python 3.11,
-# numpy 2.4).
+# c = 6,084) it allows H <= 6, which took 0.35-0.45 s and 34 MB; uncharged,
+# H = 60 took 21 s, 81 MB and 18 MB of JSON (three runs each, 2-core x86 VM,
+# Python 3.11, numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000
 
 
 # The modular prefilter: a perfect cube is a cube residue modulo each of
 # _MODULI.  Residues mod their product _M = 575,757 stay below 2^20, so the
 # int64 Horner sums of `descent._homogeneous_value` stay below 2^60.  One
-# small table per modulus marks its cube residues.
+# small table per modulus marks its cube residues, and `_joint_residues`
+# joins them into two tables, mod 7*9*13 = 819 and mod 19*37 = 703.
 _MODULI = (7, 9, 13, 19, 37)
 _M = math.prod(_MODULI)
 
@@ -135,15 +140,41 @@ def _cube_residues() -> tuple[np.ndarray, ...]:
                  for m in _MODULI)
 
 
+@functools.cache
+def _joint_residues() -> tuple[tuple[int, np.ndarray], ...]:
+    """(m, table) for m = 819 and 703: True at the residues mod m that are
+    cube residues modulo each factor of m in _MODULI."""
+    import numpy as np
+
+    tables = dict(zip(_MODULI, _cube_residues()))
+    joint = []
+    for moduli in (_MODULI[:3], _MODULI[3:]):
+        m = math.prod(moduli)
+        x = np.arange(m)
+        joint.append((m, np.logical_and.reduce([tables[k][x % k] for k in moduli])))
+    return tuple(joint)
+
+
 # A block of the enumeration holds whole heights and ends at the first height
-# that brings its candidates p/q (before the gcd test) to this many.
+# that brings its candidates p/q (before the coprimality test) to this many.
 _BLOCK_POINTS = 4096
+
+
+def _coprime(height: int) -> np.ndarray:
+    """A (height + 1)^2 bool table, True at [n, d], 1 <= n, d <= height, where
+    gcd(n, d) = 1: sieved by clearing the multiples of each d >= 2."""
+    import numpy as np
+
+    coprime = np.ones((height + 1, height + 1), dtype=bool)
+    for d in range(2, height + 1):
+        coprime[d::d, d::d] = False
+    return coprime
 
 
 def _point_blocks(height: int, cut: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """int64 arrays (p, q), q >= 1, gcd(p, q) = 1, listing every p/q of height
     <= height once, a block of whole heights at a time; a block also ends at
-    the height `cut`.
+    the height `cut`.  Coprimality is read from one `_coprime` table.
 
     The order is nondecreasing height; 0 = 0/1 (height 1) comes first.
     Within height h come h/q and -h/q for q = 1..h, then p/h and -p/h for
@@ -153,6 +184,7 @@ def _point_blocks(height: int, cut: int = 0) -> Iterator[tuple[np.ndarray, np.nd
 
     if height < 1:
         raise ValueError("height must be >= 1")
+    coprime = _coprime(height)
     lo = 1
     while lo <= height:
         hi, size = lo, 0
@@ -169,8 +201,8 @@ def _point_blocks(height: int, cut: int = 0) -> Iterator[tuple[np.ndarray, np.nd
         first = x <= h
         num = np.where(first, h, x - h)
         den = np.where(first, x, h)
-        coprime = np.gcd(num, den) == 1
-        num, den = num[coprime], den[coprime]
+        keep = coprime[num, den]
+        num, den = num[keep], den[keep]
         p, q = np.empty(2 * num.size, dtype=np.int64), np.empty(2 * num.size, dtype=np.int64)
         p[0::2], p[1::2] = num, -num
         q[0::2] = q[1::2] = den
@@ -202,11 +234,10 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
 def _is_cube_residue(norm: np.ndarray) -> np.ndarray:
     """True where the int64 values norm >= 0, each N(G) or N(G) mod _M, are a
     cube residue modulo every m of _MODULI."""
-    import numpy as np
-
-    mask = np.ones(norm.shape, dtype=bool)
-    for m, table in zip(_MODULI, _cube_residues()):
-        mask &= table[norm % m]
+    (m1, first), (m2, second) = _joint_residues()
+    mask = first[norm % m1]
+    rest = mask.nonzero()[0]  # 45 of the 819 residues mod m1 pass
+    mask[rest] = second[norm[rest] % m2]
     return mask
 
 
@@ -242,20 +273,16 @@ def _descends_past_filter(ga: np.ndarray, gb: np.ndarray, r: np.ndarray) -> np.n
 
 def _checked_block(p, q, ga, gb, r) -> tuple:
     """The columns (p, q, ga, gb, r) of a block's Descends findings, int64 or
-    object arrays, once every G = ga + gb*w passes the form check and the
-    Galois identity of the module docstring, on Python ints."""
-    a, b, root = (x.astype(object) for x in (ga, gb, r))
-    norm = root * root * root
-    g2a, g2b = _mul(a, b, a, b)
-    fa, fb = _mul(g2a, g2b, a - b, -b)  # G^2 conj(G) = r^3 form(G/r)
-    form = (fa != a * norm) | (fb != b * norm)
-    ha, hb = _mul(fa, fb, a, b)
-    galois = (g2a * norm != ha) | (g2b * norm != hb)  # G^2 r^3 = conj(G) G^3
-    bad = (form | galois).nonzero()[0]
+    object arrays, once every G = ga + gb*w != 0 passes the form check:
+    G conj(G) = r^3, which holds exactly when G^2 conj(G) = r^3 G, the form
+    check, and conj(G) G^3 = r^3 G^2, the Galois identity, both hold.  On an
+    int64 block, within the bound B of the module docstring, every product
+    and sum is at most 4 B^2 < 2^63 and r^3 < 2^63, so it is exact."""
+    na, nb = _mul(ga, gb, ga - gb, -gb)
+    bad = ((na != r * r * r) | (nb != 0)).nonzero()[0]
     if bad.size:
         i = bad[0]
-        check = "form check" if form[i] else "Galois identity"
-        raise AssertionError(f"witness at z={Fraction(int(p[i]), int(q[i]))} fails the {check}")
+        raise AssertionError(f"witness at z={Fraction(int(p[i]), int(q[i]))} fails the form check")
     return p, q, ga, gb, r
 
 
@@ -386,15 +413,21 @@ class SearchReport:
         return (f'{{{i1}"a": "{a}",{i1}"witness": {{{i2}"x": "{x}",{i2}"y": "{y}"'
                 f'{i1}}},{i1}"z": "{z}"{indent}}}')
 
-    def _render_block(self, block: tuple, indent: str) -> str:
+    def _render_block(self, block: tuple, indent: str) -> Iterator[str]:
+        # the block's text in pieces: gathered whole, or finding by finding
         p, q, ga, gb, r = block
         d, e = self.scale
         top = int(q.max())
         if (p.dtype != object and d ** 3 * top ** e < 2 ** 63
                 and int(r.max()) * d * top ** (e // 3) < 2 ** 63):
-            return _block_text(p, q, ga, gb, d ** 3 * q ** e, r * (d * q ** (e // 3)), indent)
-        return ("," + indent).join(self._render_finding(finding, indent)
-                                   for finding in zip(*(x.tolist() for x in block)))
+            yield _block_text(p, q, ga, gb, d ** 3 * q ** e, r * (d * q ** (e // 3)), indent)
+            return
+        sep = "," + indent
+        findings = zip(*(x.tolist() for x in block))
+        yield self._render_finding(next(findings), indent)  # a block has a finding
+        for finding in findings:
+            yield sep
+            yield self._render_finding(finding, indent)
 
     def to_report(self) -> dict:
         """Its "descends" member is a `RenderedList` that `dumps_document`

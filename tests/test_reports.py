@@ -199,4 +199,4 @@ def test_gathered_block_text_equals_the_text_of_each_finding(scale):
     text = search_module._block_text(p, q, ga, gb, s ** 3, r * s, indent)
     findings = zip(*(x.tolist() for x in block))
     assert text == ("," + indent).join(report._render_finding(f, indent) for f in findings)
-    assert report._render_block(block, indent) == text
+    assert "".join(report._render_block(block, indent)) == text

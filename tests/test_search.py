@@ -405,6 +405,34 @@ def test_cube_residue_tables_mark_exactly_the_cubes_and_are_built_once():
     assert search_module._cube_residues() is tables
 
 
+def test_coprime_table_is_the_gcd_at_the_largest_height():
+    with pytest.raises(ValueError, match="largest height allowed at degree 1 is 706$"):
+        search([0, 1], 707)
+    coprime = search_module._coprime(706)
+    assert coprime.shape == (707, 707)
+    expected = [[math.gcd(n, d) == 1 for d in range(1, 707)] for n in range(1, 707)]
+    assert coprime[1:, 1:].tolist() == expected
+
+
+def per_modulus_residue_mask(norm):
+    """The prefilter as one table per modulus of _MODULI, ANDed."""
+    mask = np.ones(norm.shape, dtype=bool)
+    for m, table in zip(search_module._MODULI, search_module._cube_residues()):
+        mask &= table[norm % m]
+    return mask
+
+
+def test_joint_prefilter_equals_the_per_modulus_tables_and_is_built_once():
+    joint = search_module._joint_residues()
+    assert [m for m, _ in joint] == [819, 703]
+    assert search_module._joint_residues() is joint
+    every = np.arange(search_module._M, dtype=np.int64)
+    rng = np.random.default_rng(27)
+    norms = rng.integers(0, 2**62, 100_000)
+    for norm in (every, norms):
+        assert np.array_equal(search_module._is_cube_residue(norm), per_modulus_residue_mask(norm))
+
+
 def test_search_counters_account_for_every_finite_point(capsys):
     # the last two are pinned from the walk that counted point by point
     for coeffs, height, pinned in [
@@ -579,3 +607,91 @@ def test_block_check_takes_values_past_int64():
     search_module._checked_block(*block)
     with pytest.raises(AssertionError, match="^witness at z=2 fails the form check$"):
         search_module._checked_block(*corrupt(block, 3, 1, 1))
+
+
+def two_identity_failures(ga, gb, r):
+    """Where G = ga + gb*w fails G^2 conj(G) = r^3 G or conj(G) G^3 = r^3 G^2,
+    the form check and the Galois identity, on Python ints: the oracle."""
+    failed = []
+    for a, b, root in zip(ga.tolist(), gb.tolist(), r.tolist()):
+        norm = root ** 3
+        g2a, g2b = eisenstein._mul(a, b, a, b)
+        fa, fb = eisenstein._mul(g2a, g2b, a - b, -b)
+        ha, hb = eisenstein._mul(fa, fb, a, b)
+        failed.append((fa, fb) != (a * norm, b * norm) or (ha, hb) != (g2a * norm, g2b * norm))
+    return failed
+
+
+def norm_of(a, b):
+    return a * a - a * b + b * b
+
+
+# |ga|, |gb| <= B with 3 B^2 < 2^62, the bound of an int64 block
+EDGE = math.isqrt((2**62 - 1) // 3)
+
+
+def check_cases():
+    """(ga, gb, r) int64 arrays, each G != 0: some pass the form check, most fail."""
+    rng = np.random.default_rng(2700)
+    n = 400
+    x, y = rng.integers(-1000, 1001, (2, n))
+    x[x == 0] = 1
+    cases = {}
+    a, b = rng.integers(-2**30, 2**30, (2, n))  # random G, r the floor of the cube root
+    a[a == 0] = 1
+    cases["random"] = (a, b, np.array([icbrt(v) for v in norm_of(a, b).tolist()]))
+    ca, cb = eisenstein._mul(*eisenstein._mul(x, y, x, y), x, y)  # cubes, N = N(x + y w)^3
+    fa, fb = eisenstein._mul(*eisenstein._mul(x, y, x, y), x - y, -y)  # form values
+    exact = (np.concatenate([ca, -cb, fa]), np.concatenate([cb, ca - cb, fb]),
+             np.tile(norm_of(x, y), 3))
+    cases["exact"] = exact
+    cases["r plus one"] = (exact[0], exact[1], exact[2] + 1)
+    cases["r minus one"] = (exact[0], exact[1], exact[2] - 1)
+    # N(r + w) = r^2 - r + 1 and N(r + 1 + w) = r^2 + r + 1, so these G have
+    # N(G) = (r + 1)(r^2 - r + 1) = r^3 + 1 and (r - 1)(r^2 + r + 1) = r^3 - 1
+    r = norm_of(x, y) - 1
+    cases["norm r^3 + 1"] = (*eisenstein._mul(x, y, r, 1), r)
+    r = norm_of(x, y) + 1
+    cases["norm r^3 - 1"] = (*eisenstein._mul(x, y, r + 1, 1), r)
+    # coordinates at the int64 bound, r up to 2^21 - 1
+    a, b = rng.integers(EDGE - 1000, EDGE + 1, (2, n)) * rng.choice([-1, 1], (2, n))
+    cases["edge"] = (a, b, rng.integers(1, 2**21, n))
+    cases["edge exact"] = tuple(v[exact[2] > 2**19] for v in exact)
+    # only G within the bound, as in an int64 block
+    within = {name: (abs(ga) <= EDGE) & (abs(gb) <= EDGE) & (r < 2**21)
+              for name, (ga, gb, r) in cases.items()}
+    cases = {name: tuple(v[within[name]] for v in case) for name, case in cases.items()}
+    # a few failures among passing findings, so the first is not the first point
+    failing = ("r plus one", "r minus one", "norm r^3 + 1", "norm r^3 - 1", "edge")
+    mixed = [np.concatenate(vs) for vs in zip(cases["exact"], *(
+        tuple(v[:3] for v in cases[name]) for name in failing))]
+    order = rng.permutation(len(mixed[0]))
+    cases["mixed"] = tuple(v[order] for v in mixed)
+    return cases
+
+
+@pytest.mark.parametrize("name,case", list(check_cases().items()))
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_block_check_fails_exactly_where_the_two_identities_do(name, case, dtype):
+    ga, gb, r = (np.asarray(v, dtype=np.int64) for v in case)
+    assert len(ga) >= 100 and np.all((ga != 0) | (gb != 0)) and np.all(r >= 0)
+    failed = two_identity_failures(ga, gb, r)
+    if name == "exact":
+        assert not any(failed)
+    elif name != "edge exact":
+        assert any(failed)
+    p = np.arange(1, len(ga) + 1)  # z = i + 1 names the finding i
+    block = tuple(v.astype(dtype) for v in (p, np.ones_like(p), ga, gb, r))
+    for i, bad in enumerate(failed):
+        one = tuple(v[i:i + 1] for v in block)
+        if bad:
+            message = f"^witness at z={i + 1} fails the form check$"
+            with pytest.raises(AssertionError, match=message):
+                search_module._checked_block(*one)
+        else:
+            search_module._checked_block(*one)
+    if any(failed):
+        with pytest.raises(AssertionError, match=f"^witness at z={failed.index(True) + 1} fails"):
+            search_module._checked_block(*block)
+    else:
+        search_module._checked_block(*block)
