@@ -268,12 +268,13 @@ def _homogeneous_value(scaled, e: int, p, q, m: int = 0) -> tuple:
     degree e, a multiple of 3.  At p/q, G = (D q^(e/3))^3 f(p/q) is f(p/q)
     times a cube, so it has the classification of f(p/q).  At infinity,
     (1 : 0), G = D^3 c_e: D^3 times the leading coefficient when 3 | n, and
-    0 (a branch point) otherwise.  The same loop runs on int64 arrays of
-    points for `search`.  With m = 0 it is exact there while every value
-    fits, which `search` proves from a bound before the call.  With m > 0
-    each step is reduced mod m, giving G mod m for `search`'s prefilter; p,
-    q and scaled must then lie in [0, m), and for m <= 2^20 no value reaches
-    2^60 (c_e q^(e-n) and q^(e-n+1) with e - n <= 2).
+    0 (a branch point) otherwise.  `search` runs the same loop on Python
+    ints at each point of a block past its int64 bound, and on a block's
+    int64 arrays of points within it, where with m = 0 it is exact while
+    every value fits, which `search` proves from the bound before the call.
+    With m > 0 each step is reduced mod m, giving G mod m for `search`'s
+    prefilter; p, q and scaled must then lie in [0, m), and for m <= 2^20 no
+    value reaches 2^60 (c_e q^(e-n) and q^(e-n+1) with e - n <= 2).
     """
     ga = gb = 0
     qk = q ** (e + 1 - len(scaled))  # q^(e-n), then one more q per term

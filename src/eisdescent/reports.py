@@ -16,12 +16,12 @@ plus a newline: json's indented encoding always takes its pure-Python
 encoder, which cost more than classifying the points of an all-Descends
 search.  Strings go through json's C string encoder, other leaves through
 `json.dumps`.  A list member may instead be a `RenderedList`, whose items
-write their own text, in pieces, through the same chunking; an item may
-stand for several list entries.  A `search` document holds its
-Descends findings this way, one item per block of integer columns, so no
-dict of strings is built per finding.  json.dumps cannot encode such a
-document; `dumps_document` writes what json.dumps gives for the same
-document with each entry as its dict.
+write their own text, one string per item; an item may stand for several
+list entries.  A `search` document holds its Descends findings this way,
+one item per block of integer columns, so no dict of strings is built per
+finding.  json.dumps cannot encode such a document; `dumps_document`
+writes what json.dumps gives for the same document with each entry as its
+dict.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 __all__ = ["RenderedList", "dumps_document", "fingerprint", "make_document"]
 
@@ -54,38 +54,27 @@ def make_document(report: dict, params: dict, elapsed_s: float,
 
 class RenderedList:
     """A list member whose items render themselves: `render(item, indent)`
-    gives pieces of text that join to what json.dumps(sort_keys=True,
-    indent=2) writes for the one or more list entries the item stands for,
-    joined by "," and `indent` (a line break and the entries' indent), when
-    `indent` precedes it.  The text is written as it is, so any escaping is
-    the renderer's."""
+    returns the text json.dumps(sort_keys=True, indent=2) writes for the one
+    or more list entries the item stands for, joined by "," and `indent` (a
+    line break and the entries' indent), when `indent` precedes it.  The
+    text is written as it is, so any escaping is the renderer's."""
 
     # a plain class: a dataclass would cost every command about 0.6 ms at import
     __slots__ = ("items", "render")
 
-    def __init__(self, items: Sequence, render: Callable[[Any, str], Iterable[str]]) -> None:
+    def __init__(self, items: Sequence, render: Callable[[Any, str], str]) -> None:
         self.items = items
         self.render = render
 
 
-# Pieces of text are joined into a chunk once this many are pending, checked
-# after each list item.  Most pieces are a few bytes behind an 8-byte list
-# slot and a string header; joining them early keeps the writer's peak memory
-# near twice the finished text (the chunks, then the document).
-_FLUSH_PIECES = 4096
-
-
 def dumps_document(document: dict) -> str:
-    chunks: list[str] = []
     pieces: list[str] = []
-    _write(chunks, pieces, document, "\n")
+    _write(pieces, document, "\n")
     pieces.append("\n")
-    chunks.append("".join(pieces))
-    pieces.clear()  # so the pieces are not held beside the joined text
-    return "".join(chunks)
+    return "".join(pieces)
 
 
-def _write(chunks: list[str], pieces: list[str], value, newline: str) -> None:
+def _write(pieces: list[str], value, newline: str) -> None:
     """Append `value` to `pieces` as json.dumps(value, sort_keys=True, indent=2)
     writes it, with `newline` (a line break and the current indent) before
     each closing bracket.  Dict keys must be strings."""
@@ -101,7 +90,7 @@ def _write(chunks: list[str], pieces: list[str], value, newline: str) -> None:
             pieces.append(sep)
             pieces.append(encode_basestring_ascii(key))
             pieces.append(": ")
-            _write(chunks, pieces, value[key], inner)
+            _write(pieces, value[key], inner)
             sep = "," + inner
         pieces.append(newline + "}")
     elif isinstance(value, (list, tuple, RenderedList)):
@@ -115,13 +104,10 @@ def _write(chunks: list[str], pieces: list[str], value, newline: str) -> None:
         for item in items:
             pieces.append(sep)
             if render is None:
-                _write(chunks, pieces, item, inner)
+                _write(pieces, item, inner)
             else:
-                pieces.extend(render(item, inner))
+                pieces.append(render(item, inner))
             sep = "," + inner
-            if len(pieces) >= _FLUSH_PIECES:
-                chunks.append("".join(pieces))
-                pieces.clear()
         pieces.append(newline + "]")
     else:
         pieces.append(json.dumps(value))

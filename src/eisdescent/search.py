@@ -22,53 +22,55 @@ and each step is exact:
   evaluator, `descent._homogeneous_value`, serves `specialize`, `search`
   and the prefilter below, at (p : q) for each point p/q and at (1 : 0)
   for infinity.  Points come in blocks of whole heights in the order of
-  `enumerate_rationals`, and the evaluator runs on a block's int64 arrays
-  of p and q in one numpy pass, so the points past the filters reach the
-  Python steps in report order.  numpy is imported by the functions that
-  build and filter the blocks, not by the module, so importing it does not
-  load numpy.
+  `enumerate_rationals`, each decided by the steps below on its arrays, so
+  findings come out in report order.  The evaluator runs in one numpy pass
+  on a block's int64 arrays of p and q, or past the bound below on Python
+  ints a point at a time.  numpy is imported by the functions that build
+  and filter the blocks, not by the module, so importing it does not load
+  numpy.
 * The int64 bound.  Let B = sum of (|a| + |b|) over the scaled
   coefficients D^3 c_i = a + b w, times T^e for T the largest height in a
   block.  Every Horner partial sum and both coordinates of G are at most B,
   and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  A block also ends at the
   largest height where 3 B^2 < 2^62, and the blocks up to it are decided in
-  exact int64: G and N(G) themselves, then the steps below on whole arrays.
-  A block past the bound is decided point by point on Python integers, by
-  `descent._classify_integral` on each G that passes the prefilter.
+  exact int64.  A block past the bound takes the same steps on object
+  arrays of Python ints, save the prefilter on G mod M before evaluation,
+  the evaluation a point at a time and the cube root of the norm filter.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
-  a point whose N(G) is not a cube residue modulo one of 7, 9, 13, 19, 37
-  is NoDescent with no big integer involved.  Their tables are joined into
-  one mod 7*9*13 = 819, read at every point, and one mod 19*37 = 703, read
-  only at the 45 of 819 residues that pass the first.  A block within the
-  bound reads N(G) mod m from N(G) itself.  Past the bound, G mod M,
-  M = 7*9*13*19*37 = 575,757, depends only on p and q mod M, so the
+  a point whose N(G) is not one mod 819 = 7*9*13 or mod 703 = 19*37 is
+  NoDescent.  Each table marks x^3 mod m, by the CRT the residues that are
+  cube residues modulo each of 7, 9, 13, 19 and 37; the second is read only
+  at the 45 of 819 residues that pass the first.  Every block reads N(G)
+  mod m from N(G).  A block past the bound is first filtered on G mod M,
+  M = 819 * 703 = 575,757, which depends only on p and q mod M: the
   evaluator reduced mod M at each step and the norm run in int64, all
-  below 2^60, and each m divides M.
+  below 2^60, so only the points that pass reach Python ints.
 * Norm filter.  G is NoDescent unless N(G) is a perfect integer cube r^3
   (the argument is `descent._classify_integral`'s, shared with
   `classify`).  Within the bound r is taken from a float64 seed, the
   rounded-down `np.cbrt` of N(G), within 1 of the true cube root, and
   corrected to the exact floor with int64 cubes: down by one where
   r^3 > N(G), then up by one where (r + 1)^3 <= N(G); r < 2^21, so
-  (r + 1)^3 < 2^63.  G = 0, N(G) = 0, is Undefined.  Only points with
-  N(G) = r^3 > 0 reach Python integers.
+  (r + 1)^3 < 2^63.  Past the bound r is `icbrt` of each N(G).  G = 0,
+  N(G) = 0, is Undefined.  Only points with N(G) = r^3 > 0 go on.
 * Past the filter, `descent._past_norm_filter`, the last step of
   `_classify_integral`, finds G Disconnected when it is a cube and Descends
-  with the witness G/r otherwise.  In an int64 block the residue tests that
-  open `_cube_root` run first on the arrays: a G that fails one is no cube,
-  so Descends, and only the rest reach `_past_norm_filter`.
+  with the witness G/r otherwise.  The residue tests that open `_cube_root`
+  run first on the block's arrays: a G that fails one is no cube, so
+  Descends, and only the rest reach `_past_norm_filter`.
 * The Descends findings of a block are checked once, on its arrays: the
   form, G^2 conj(G) = r^3 G (form(G/r) = G times r^3), and the Galois
   identity of `galois_commutes` for f(z) = G/s^3 and x + w y = G/(r s),
   conj(G) G^3 = r^3 G^2, are G (N(G) - r^3) = 0 and G^2 (N(G) - r^3) = 0.
-  Z[w] is a domain and G != 0, so both hold exactly when G conj(G) = r^3,
-  the one product checked; in int64 its terms are at most 4 B^2 < 2^63.
-  The findings are held as the block's columns (p, q, ga, gb, r), and
-  `to_report` hands the blocks to `reports.dumps_document` as a
-  `RenderedList`.  p/q is in lowest terms; G/s^3 and G/(r s) are reduced
-  part by part with one gcd each.  An int64 block where s^3 = D^3 q^e and
-  r s stay below 2^63 is written as one piece, bytes gathered from decimal
-  digit columns; any other block a piece per finding, by
+  Z[w] is a domain and G != 0, so both hold exactly when
+  G conj(G) = ga^2 - ga gb + gb^2 = r^3, the one sum checked; in int64
+  its partial sums are at most 3 B^2 < 2^62.  The findings are held as the
+  block's columns (p, q, ga, gb, r), and `to_report` hands the blocks to
+  `reports.dumps_document` as a `RenderedList`.  p/q is in lowest terms;
+  G/s^3 and G/(r s) are reduced part by part with one gcd each.  A block's
+  text is one string: bytes gathered from decimal digit columns for an
+  int64 block where s^3 = D^3 q^e and r s stay below 2^63, and the texts
+  of its findings joined for any other block, each from
   `_finding_strings`, which also makes the dicts of `SearchReport.descends`.
 """
 
@@ -89,8 +91,8 @@ from .descent import (
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
     specialize,  # unused here; perfbench/tracer.py binds search.specialize
 )
-from .eisenstein import _cube_residue_tables, _fmt_frac, _format_element, _mul
-from .intfactor import _step_units
+from .eisenstein import _cube_residue_tables, _fmt_frac, _format_element
+from .intfactor import _step_units, icbrt
 from .reports import RenderedList
 
 if TYPE_CHECKING:
@@ -113,45 +115,34 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # descends and the findings are held as int64 columns until the writer
 # renders them, and 0.14-0.26 s and 34 MB on t^3 = 3(z^3 + 2), where the
 # modular prefilter rejects all but 1,283 points.  At degree 99 it allows
-# H <= 99, where t^3 = w z^99 took 0.9-1.2 s and 51.6 MB for 6.6 MB of JSON,
-# and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took 0.57 s
-# and 34 MB.  With the 3,001-digit coefficient 10^3000 w at z^3 (b = 9,966,
-# c = 6,084) it allows H <= 6, which took 0.35-0.45 s and 34 MB; uncharged,
-# H = 60 took 21 s, 81 MB and 18 MB of JSON (three runs each, 2-core x86 VM,
-# Python 3.11, numpy 2.4).
+# H <= 99, where t^3 = w z^99 took 0.63-0.64 s and 51.3 MB for 6.6 MB of
+# JSON, and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took
+# 0.28-0.29 s and 34.4 MB (nine runs each).  With the 3,001-digit
+# coefficient 10^3000 w at z^3 (b = 9,966, c = 6,084) it allows H <= 6,
+# which took 0.35-0.45 s and 34 MB; uncharged, H = 60 took 21 s, 81 MB and
+# 18 MB of JSON (three runs each unless stated, 2-core x86 VM, Python 3.11,
+# numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000
 
 
-# The modular prefilter: a perfect cube is a cube residue modulo each of
-# _MODULI.  Residues mod their product _M = 575,757 stay below 2^20, so the
-# int64 Horner sums of `descent._homogeneous_value` stay below 2^60.  One
-# small table per modulus marks its cube residues, and `_joint_residues`
-# joins them into two tables, mod 7*9*13 = 819 and mod 19*37 = 703.
-_MODULI = (7, 9, 13, 19, 37)
-_M = math.prod(_MODULI)
-
-
-@functools.cache
-def _cube_residues() -> tuple[np.ndarray, ...]:
-    """One bool table per modulus of _MODULI, True at its cube residues."""
-    import numpy as np
-
-    return tuple(np.array([any(x ** 3 % m == r for x in range(m)) for r in range(m)])
-                 for m in _MODULI)
+# The modular prefilter: a perfect cube is a cube residue modulo every m.  Two
+# tables mark the cube residues mod 819 = 7*9*13 and mod 703 = 19*37, which by
+# the CRT are the residues that are cube residues modulo each of 7, 9, 13, 19
+# and 37.  Residues mod their product _M = 575,757 stay below 2^20, so the
+# int64 Horner sums of `descent._homogeneous_value` stay below 2^60.
+_M = 819 * 703
 
 
 @functools.cache
 def _joint_residues() -> tuple[tuple[int, np.ndarray], ...]:
-    """(m, table) for m = 819 and 703: True at the residues mod m that are
-    cube residues modulo each factor of m in _MODULI."""
+    """(m, table) for m = 819 and 703: True at the cube residues mod m."""
     import numpy as np
 
-    tables = dict(zip(_MODULI, _cube_residues()))
     joint = []
-    for moduli in (_MODULI[:3], _MODULI[3:]):
-        m = math.prod(moduli)
-        x = np.arange(m)
-        joint.append((m, np.logical_and.reduce([tables[k][x % k] for k in moduli])))
+    for m in (819, 703):
+        table = np.zeros(m, dtype=bool)
+        table[np.arange(m) ** 3 % m] = True
+        joint.append((m, table))
     return tuple(joint)
 
 
@@ -221,8 +212,8 @@ def enumerate_rationals(height: int) -> Iterator[Fraction]:
 
 
 def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """False at the points p/q where N(G) is not a cube residue modulo one of
-    _MODULI, so is not a perfect cube.
+    """False at the points p/q, int64 arrays, where N(G) is not a cube residue
+    mod 819 or mod 703, so is not a perfect cube; G mod _M is computed in int64.
 
     `residues` lists D^3 c_i mod _M as coordinate pairs, leading coefficient
     first; G = sum of D^3 c_i p^i q^(e-i) as in the module docstring.
@@ -232,12 +223,14 @@ def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.nda
 
 
 def _is_cube_residue(norm: np.ndarray) -> np.ndarray:
-    """True where the int64 values norm >= 0, each N(G) or N(G) mod _M, are a
-    cube residue modulo every m of _MODULI."""
+    """True where the values norm >= 0, int64 or Python ints, each N(G) or
+    N(G) mod _M, are a cube residue mod 819 and mod 703."""
+    import numpy as np
+
     (m1, first), (m2, second) = _joint_residues()
-    mask = first[norm % m1]
+    mask = first[(norm % m1).astype(np.int64, copy=False)]
     rest = mask.nonzero()[0]  # 45 of the 819 residues mod m1 pass
-    mask[rest] = second[norm[rest] % m2]
+    mask[rest] = second[(norm[rest] % m2).astype(np.int64, copy=False)]
     return mask
 
 
@@ -256,15 +249,34 @@ def _int64_cbrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
+def _object_values(scaled, e: int, p: np.ndarray, q: np.ndarray) -> tuple:
+    """G = ga + gb*w at the points p/q of object arrays, as object arrays, by
+    `descent._homogeneous_value` on Python ints a point at a time, which holds
+    one point's partial sums and at high degree beats numpy's object loops."""
+    import numpy as np
+
+    ga, gb = np.empty(len(p), dtype=object), np.empty(len(p), dtype=object)
+    for i, point in enumerate(zip(p.tolist(), q.tolist())):
+        ga[i], gb[i] = _homogeneous_value(scaled, e, *point)
+    return ga, gb
+
+
+def _object_cbrt(n: np.ndarray) -> np.ndarray:
+    """floor(n^(1/3)) for an object array of Python ints n >= 0, by `icbrt`."""
+    import numpy as np
+
+    return np.array([icbrt(v) for v in n.tolist()], dtype=object)
+
+
 def _descends_past_filter(ga: np.ndarray, gb: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """True where G = ga + gb*w, int64 arrays with N(G) = r^3 >= 1, Descends,
-    as `descent._past_norm_filter` decides: a G that fails one of the residue
-    tests of `_cube_root` is no cube, and only the others reach it."""
+    """True where G = ga + gb*w, int64 or object arrays with N(G) = r^3 >= 1,
+    Descends, as `descent._past_norm_filter` decides: a G that fails one of
+    the residue tests of `_cube_root` is no cube, and only the others reach it."""
     import numpy as np
 
     maybe_cube = np.ones(ga.shape, dtype=bool)
     for m, w, table in _cube_residue_tables():
-        maybe_cube &= table[(ga + w * gb) % m]
+        maybe_cube &= table[((ga + w * gb) % m).astype(np.int64, copy=False)]
     found = ~maybe_cube
     for i in maybe_cube.nonzero()[0].tolist():
         found[i] = _past_norm_filter(int(ga[i]), int(gb[i]), int(r[i])) == "Descends"
@@ -274,12 +286,12 @@ def _descends_past_filter(ga: np.ndarray, gb: np.ndarray, r: np.ndarray) -> np.n
 def _checked_block(p, q, ga, gb, r) -> tuple:
     """The columns (p, q, ga, gb, r) of a block's Descends findings, int64 or
     object arrays, once every G = ga + gb*w != 0 passes the form check:
-    G conj(G) = r^3, which holds exactly when G^2 conj(G) = r^3 G, the form
-    check, and conj(G) G^3 = r^3 G^2, the Galois identity, both hold.  On an
-    int64 block, within the bound B of the module docstring, every product
-    and sum is at most 4 B^2 < 2^63 and r^3 < 2^63, so it is exact."""
-    na, nb = _mul(ga, gb, ga - gb, -gb)
-    bad = ((na != r * r * r) | (nb != 0)).nonzero()[0]
+    G conj(G) = ga^2 - ga gb + gb^2 = r^3, which holds exactly when
+    G^2 conj(G) = r^3 G, the form check, and conj(G) G^3 = r^3 G^2, the
+    Galois identity, both hold.  On an int64 block, within the bound B of the
+    module docstring, every partial sum is at most 3 B^2 < 2^62 and
+    r^3 < 2^63, so it is exact."""
+    bad = (ga * ga - ga * gb + gb * gb != r * r * r).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise AssertionError(f"witness at z={Fraction(int(p[i]), int(q[i]))} fails the form check")
@@ -413,21 +425,16 @@ class SearchReport:
         return (f'{{{i1}"a": "{a}",{i1}"witness": {{{i2}"x": "{x}",{i2}"y": "{y}"'
                 f'{i1}}},{i1}"z": "{z}"{indent}}}')
 
-    def _render_block(self, block: tuple, indent: str) -> Iterator[str]:
-        # the block's text in pieces: gathered whole, or finding by finding
+    def _render_block(self, block: tuple, indent: str) -> str:
+        # the block's text: gathered whole, or its findings' texts joined
         p, q, ga, gb, r = block
         d, e = self.scale
         top = int(q.max())
         if (p.dtype != object and d ** 3 * top ** e < 2 ** 63
                 and int(r.max()) * d * top ** (e // 3) < 2 ** 63):
-            yield _block_text(p, q, ga, gb, d ** 3 * q ** e, r * (d * q ** (e // 3)), indent)
-            return
-        sep = "," + indent
-        findings = zip(*(x.tolist() for x in block))
-        yield self._render_finding(next(findings), indent)  # a block has a finding
-        for finding in findings:
-            yield sep
-            yield self._render_finding(finding, indent)
+            return _block_text(p, q, ga, gb, d ** 3 * q ** e, r * (d * q ** (e // 3)), indent)
+        return ("," + indent).join(self._render_finding(finding, indent)
+                                   for finding in zip(*(x.tolist() for x in block)))
 
     def to_report(self) -> dict:
         """Its "descends" member is a `RenderedList` that `dumps_document`
@@ -467,36 +474,33 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
     while last < height and 3 * (weight * (last + 1) ** e) ** 2 < 2 ** 62:
         last += 1
     for ps, qs in _point_blocks(height, last):
+        points = len(ps)
         if max(ps.max(), -ps.min(), qs.max()) <= last:  # the block's largest height
-            int64_points += len(ps)
+            int64_points += points
             ga, gb = _homogeneous_value(scaled, e, ps, qs)
-            norm = ga * ga - ga * gb + gb * gb
-            keep = _is_cube_residue(norm)
-            modular_rejects += len(ps) - int(np.count_nonzero(keep))
-            ps, qs, ga, gb, norm = ps[keep], qs[keep], ga[keep], gb[keep], norm[keep]
-            root = _int64_cbrt(norm)
-            cube = root * root * root == norm
-            counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
-            counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))
-            past = cube & (norm > 0)
-            ps, qs, ga, gb, root = ps[past], qs[past], ga[past], gb[past], root[past]
-            found = _descends_past_filter(ga, gb, root)
-            counts[descends] += int(np.count_nonzero(found))
-            counts[DescentKind.DISCONNECTED.value] += len(found) - int(np.count_nonzero(found))
-            block = tuple(x[found] for x in (ps, qs, ga, gb, root))
+            cbrt = _int64_cbrt
         else:
+            # G mod _M in int64 first: only the points it keeps reach Python ints
             keep = _cube_residue_mask(residues, e, ps, qs)
-            modular_rejects += len(ps) - int(np.count_nonzero(keep))
-            rows = []
-            for p, q in zip(ps[keep].tolist(), qs[keep].tolist()):
-                ga, gb = _homogeneous_value(scaled, e, p, q)
-                kind, root = _classify_integral(ga, gb)
-                counts[kind] += 1
-                if kind == descends:
-                    rows.append((p, q, ga, gb, root))
-            block = tuple(np.array(column, dtype=object) for column in zip(*rows))
-        if block and len(block[0]):
-            blocks.append(_checked_block(*block))
+            ps, qs = ps[keep].astype(object), qs[keep].astype(object)
+            ga, gb = _object_values(scaled, e, ps, qs)
+            cbrt = _object_cbrt
+        norm = ga * ga - ga * gb + gb * gb
+        keep = _is_cube_residue(norm)
+        ps, qs, ga, gb, norm = ps[keep], qs[keep], ga[keep], gb[keep], norm[keep]
+        modular_rejects += points - len(ps)
+        root = cbrt(norm)
+        cube = root * root * root == norm
+        counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
+        counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))
+        past = cube & (norm > 0)
+        del norm  # so a block's big-int norms are not held through the next block
+        ps, qs, ga, gb, root = ps[past], qs[past], ga[past], gb[past], root[past]
+        found = _descends_past_filter(ga, gb, root)
+        counts[descends] += int(np.count_nonzero(found))
+        counts[DescentKind.DISCONNECTED.value] += len(found) - int(np.count_nonzero(found))
+        if found.any():
+            blocks.append(_checked_block(*(x[found] for x in (ps, qs, ga, gb, root))))
     counts[no_descent] += modular_rejects
     counters = {
         "points": sum(counts.values()),

@@ -3,14 +3,13 @@
 import importlib
 import json
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eisdescent import OMEGA, EisensteinRational, cli, reports, search
+from eisdescent import OMEGA, EisensteinRational, cli, search
 from eisdescent.reports import RenderedList, dumps_document
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -55,13 +54,6 @@ def test_writer_matches_json_dumps(value):
     assert dumps_document(value) == reference_dumps(value)
 
 
-@settings(max_examples=200, deadline=None)
-@given(json_values, st.integers(1, 8))
-def test_writer_matches_json_dumps_when_joining_pieces_early(value, flush):
-    with mock.patch.object(reports, "_FLUSH_PIECES", flush):
-        assert dumps_document(value) == reference_dumps(value)
-
-
 @pytest.mark.parametrize("value", [{}, [], (), {"a": {}}, {"a": []}, [[], {}, [[]]]])
 def test_empty_containers(value):
     assert dumps_document(value) == reference_dumps(value)
@@ -73,7 +65,7 @@ def test_empty_containers(value):
     ["classify", "6+3*w"],
     ["classify", "3"],
     ["factor", "12+7*w"],
-    ["search", "--coeffs", "0,0,0,w", "--height", "20"],  # past _FLUSH_PIECES pieces
+    ["search", "--coeffs", "0,0,0,w", "--height", "20"],
     ["search", "--coeffs=0,0,-1/2+w", "--height", "30"],
     ["search", "--coeffs", "6,0,0,3", "--height", "5"],
 ])
@@ -127,13 +119,11 @@ def covers(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(covers(), st.integers(1, 9), st.none() | st.integers(1, 8))
-def test_rendered_descends_match_json_dumps(coeffs, height, flush):
+@given(covers(), st.integers(1, 9))
+def test_rendered_descends_match_json_dumps(coeffs, height):
     report = search(coeffs, height)
     document = {"report": report.to_report()}  # nested as in the printed document
-    reference = reference_dumps(with_descends_as_dicts(document, report))
-    with mock.patch.object(reports, "_FLUSH_PIECES", flush or reports._FLUSH_PIECES):
-        assert dumps_document(document) == reference
+    assert dumps_document(document) == reference_dumps(with_descends_as_dicts(document, report))
 
 
 def test_rendered_descends_cover_negative_points_and_denominators():
@@ -199,4 +189,4 @@ def test_gathered_block_text_equals_the_text_of_each_finding(scale):
     text = search_module._block_text(p, q, ga, gb, s ** 3, r * s, indent)
     findings = zip(*(x.tolist() for x in block))
     assert text == ("," + indent).join(report._render_finding(f, indent) for f in findings)
-    assert "".join(report._render_block(block, indent)) == text
+    assert report._render_block(block, indent) == text

@@ -33,6 +33,9 @@ from eisdescent.intfactor import icbrt
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
 
 TARGET_COVER = [6, 0, 0, 3]  # f(z) = 3 z^3 + 6
+# the prime powers whose cube residues the prefilter's two tables combine,
+# 819 = 7 * 9 * 13 and 703 = 19 * 37
+PRIME_POWERS = (7, 9, 13, 19, 37)
 # the lowest height whose points reach past the first block of the enumeration
 FIRST_BLOCK = next(search_module._point_blocks(100))
 PAST_FIRST_BLOCK = int(max(abs(FIRST_BLOCK[0]).max(), FIRST_BLOCK[1].max())) + 1
@@ -361,7 +364,7 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
                                         PAST_FIRST_BLOCK + 20]))
     e = -(-degree // 3) * 3
     residues = [(a % search_module._M, b % search_module._M) for a, b in scaled]
-    cube_residues = {m: {x ** 3 % m for x in range(m)} for m in search_module._MODULI}
+    cube_residues = {m: {x ** 3 % m for x in range(m)} for m in PRIME_POWERS}
     for p, q in search_module._point_blocks(height):
         mask = search_module._cube_residue_mask(residues, e, p, q).tolist()
         for keep, pq in zip(mask, zip(p.tolist(), q.tolist())):
@@ -396,13 +399,14 @@ def test_modular_and_exact_evaluation_agree_mod_m(degree, data):
 
 
 def test_cube_residue_tables_mark_exactly_the_cubes_and_are_built_once():
-    tables = search_module._cube_residues()
-    assert len(tables) == len(search_module._MODULI)
-    for m, table in zip(search_module._MODULI, tables):
+    tables = search_module._joint_residues()
+    assert [m for m, _ in tables] == [819, 703]
+    assert math.prod(m for m, _ in tables) == search_module._M
+    for m, table in tables:
         cubes = sorted({x ** 3 % m for x in range(m)})
         assert table.dtype == bool and table.shape == (m,)
         assert table.nonzero()[0].tolist() == cubes, m
-    assert search_module._cube_residues() is tables
+    assert search_module._joint_residues() is tables
 
 
 def test_coprime_table_is_the_gcd_at_the_largest_height():
@@ -414,23 +418,52 @@ def test_coprime_table_is_the_gcd_at_the_largest_height():
     assert coprime[1:, 1:].tolist() == expected
 
 
+def per_prime_power_tables():
+    """One bool table per prime power of PRIME_POWERS, True at its cube residues."""
+    tables = {}
+    for m in PRIME_POWERS:
+        tables[m] = np.zeros(m, dtype=bool)
+        tables[m][[x ** 3 % m for x in range(m)]] = True
+    return tables
+
+
 def per_modulus_residue_mask(norm):
-    """The prefilter as one table per modulus of _MODULI, ANDed."""
+    """The prefilter as one table per prime power of PRIME_POWERS, ANDed."""
     mask = np.ones(norm.shape, dtype=bool)
-    for m, table in zip(search_module._MODULI, search_module._cube_residues()):
+    for m, table in per_prime_power_tables().items():
         mask &= table[norm % m]
     return mask
 
 
 def test_joint_prefilter_equals_the_per_modulus_tables_and_is_built_once():
     joint = search_module._joint_residues()
-    assert [m for m, _ in joint] == [819, 703]
     assert search_module._joint_residues() is joint
+    tables = per_prime_power_tables()
+    for (m, table), moduli in zip(joint, (PRIME_POWERS[:3], PRIME_POWERS[3:]), strict=True):
+        # by the CRT, the cube residues mod m are those mod each of its prime powers
+        assert math.prod(moduli) == m
+        x = np.arange(m)
+        assert np.array_equal(table, np.logical_and.reduce([tables[k][x % k] for k in moduli]))
     every = np.arange(search_module._M, dtype=np.int64)
     rng = np.random.default_rng(27)
     norms = rng.integers(0, 2**62, 100_000)
     for norm in (every, norms):
         assert np.array_equal(search_module._is_cube_residue(norm), per_modulus_residue_mask(norm))
+
+
+def test_prefilter_reads_object_norms_past_int64():
+    # the norms of a block past the int64 bound are Python ints in an object array
+    rng = np.random.default_rng(28)
+    norms = [int(v) * 10 ** k + int(u) for v, u, k in zip(rng.integers(1, 2**62, 2000),
+                                                        rng.integers(0, 2**62, 2000),
+                                                        rng.integers(1, 60, 2000).tolist())]
+    norms += [x ** 3 for x in range(2**21, 2**21 + 200)] + [10**60 + 1, 2**64, 0, 1]
+    assert max(norms) > 2**63
+    mask = search_module._is_cube_residue(np.array(norms, dtype=object))
+    assert mask.dtype == bool
+    expected = [all(n % m in {x ** 3 % m for x in range(m)} for m in PRIME_POWERS) for n in norms]
+    assert mask.tolist() == expected
+    assert set(expected) == {True, False}
 
 
 def test_search_counters_account_for_every_finite_point(capsys):
@@ -554,21 +587,27 @@ def test_blocks_end_at_the_cut_and_keep_the_walk(cut):
 
 def test_array_cube_test_agrees_with_the_past_norm_filter():
     # 5,000 each of random elements, cubes, w times cubes and form values, all
-    # with N(G) < 2^62; r = floor(N(G)^(1/3)), a cube root only for the last three
+    # with N(G) < 2^62; r = floor(N(G)^(1/3)), a cube root only for the last
+    # three.  Times the cube 10^12 = (10^4)^3, as object arrays, they are past
+    # 2^63, as G and r are in a block past the int64 bound.
     rng = np.random.default_rng(26)
     a, b = rng.integers(-2**30, 2**30, (2, 5000))
     x, y = rng.integers(-700, 701, (2, 5000))
     ca, cb = eisenstein._mul(*eisenstein._mul(x, y, x, y), x, y)
     fa, fb = eisenstein._mul(*eisenstein._mul(x, y, x, y), x - y, -y)
-    ga = np.concatenate([a, ca, -cb, fa])  # w (c + d w) = -d + (c - d) w
-    gb = np.concatenate([b, cb, ca - cb, fb])
-    assert len(ga) == 20_000 and np.all((ga != 0) | (gb != 0))
-    r = np.array([icbrt(n) for n in (ga * ga - ga * gb + gb * gb).tolist()], dtype=np.int64)
-    found = search_module._descends_past_filter(ga, gb, r)
-    expected = [_past_norm_filter(*t) == "Descends"
-                for t in zip(ga.tolist(), gb.tolist(), r.tolist())]
-    assert found.tolist() == expected
-    assert set(expected) == {True, False}
+    for dtype, scale in [(np.int64, 1), (object, 10**12)]:
+        ga = np.concatenate([a, ca, -cb, fa]).astype(dtype) * scale  # w (c + d w) = -d + (c - d) w
+        gb = np.concatenate([b, cb, ca - cb, fb]).astype(dtype) * scale
+        assert len(ga) == 20_000 and np.all((ga != 0) | (gb != 0))
+        r = np.array([icbrt(n) for n in (ga * ga - ga * gb + gb * gb).tolist()], dtype=dtype)
+        assert ga.dtype == gb.dtype == r.dtype == dtype
+        if scale > 1:
+            assert max(abs(v) for v in ga.tolist() + gb.tolist()) > 2**63
+        found = search_module._descends_past_filter(ga, gb, r)
+        expected = [_past_norm_filter(*t) == "Descends"
+                    for t in zip(ga.tolist(), gb.tolist(), r.tolist())]
+        assert found.tolist() == expected
+        assert set(expected) == {True, False}
 
 
 def corrupt(block, column, i, delta):
