@@ -34,17 +34,20 @@ and each step is exact:
   and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  A block also ends at the
   largest height where 3 B^2 < 2^62, and the blocks up to it are decided in
   exact int64.  A block past the bound takes the same steps on object
-  arrays of Python ints, save the prefilter on G mod M before evaluation,
-  the evaluation a point at a time and the cube root of the norm filter.
+  arrays of Python ints, save the prefilter, the evaluation a point at a
+  time and the cube root of the norm filter.  The bound also keeps an int64
+  block's text in int64: a nonzero D^3 c_i has a coordinate of size at
+  least D^3/v >= D^2, v <= D its denominator, so D^2 T^e <= B < 2^30.2,
+  s^3 = D * D^2 q^e < 2^45.3 and r s < 2^20.7 * 2^15.1.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not one mod 819 = 7*9*13 or mod 703 = 19*37 is
   NoDescent.  Each table marks x^3 mod m, by the CRT the residues that are
   cube residues modulo each of 7, 9, 13, 19 and 37; the second is read only
-  at the 45 of 819 residues that pass the first.  Every block reads N(G)
-  mod m from N(G).  A block past the bound is first filtered on G mod M,
-  M = 819 * 703 = 575,757, which depends only on p and q mod M: the
-  evaluator reduced mod M at each step and the norm run in int64, all
-  below 2^60, so only the points that pass reach Python ints.
+  at the 45 of 819 residues that pass the first.  Each block is filtered
+  once: an int64 block on its exact N(G), a block past the bound on G mod
+  M = 819 * 703 = 575,757, which depends only on p and q mod M, so the
+  evaluator reduced mod M at each step and the norm run in int64, all below
+  2^60, and only the points that pass become Python ints.
 * Norm filter.  G is NoDescent unless N(G) is a perfect integer cube r^3
   (the argument is `descent._classify_integral`'s, shared with
   `classify`).  Within the bound r is taken from a float64 seed, the
@@ -69,9 +72,9 @@ and each step is exact:
   `reports.dumps_document` as a `RenderedList`.  p/q is in lowest terms;
   G/s^3 and G/(r s) are reduced part by part with one gcd each.  A block's
   text is one string: bytes gathered from decimal digit columns for an
-  int64 block where s^3 = D^3 q^e and r s stay below 2^63, and the texts
-  of its findings joined for any other block, each from
-  `_finding_strings`, which also makes the dicts of `SearchReport.descends`.
+  int64 block, and the texts of its findings joined for a block past the
+  bound, each from `_finding_strings`, which also makes the dicts of
+  `SearchReport.descends`.
 """
 
 from __future__ import annotations
@@ -211,26 +214,13 @@ def enumerate_rationals(height: int) -> Iterator[Fraction]:
             yield Fraction(*pair)
 
 
-def _cube_residue_mask(residues, e: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """False at the points p/q, int64 arrays, where N(G) is not a cube residue
-    mod 819 or mod 703, so is not a perfect cube; G mod _M is computed in int64.
-
-    `residues` lists D^3 c_i mod _M as coordinate pairs, leading coefficient
-    first; G = sum of D^3 c_i p^i q^(e-i) as in the module docstring.
-    """
-    ga, gb = _homogeneous_value(residues, e, p % _M, q % _M, _M)
-    return _is_cube_residue(ga * ga - ga * gb + gb * gb)  # >= 0, below 2^40
-
-
 def _is_cube_residue(norm: np.ndarray) -> np.ndarray:
-    """True where the values norm >= 0, int64 or Python ints, each N(G) or
-    N(G) mod _M, are a cube residue mod 819 and mod 703."""
-    import numpy as np
-
+    """True where the int64 values norm >= 0, each N(G) or congruent to it
+    mod _M, are a cube residue mod 819 and mod 703."""
     (m1, first), (m2, second) = _joint_residues()
-    mask = first[(norm % m1).astype(np.int64, copy=False)]
+    mask = first[norm % m1]
     rest = mask.nonzero()[0]  # 45 of the 819 residues mod m1 pass
-    mask[rest] = second[(norm[rest] % m2).astype(np.int64, copy=False)]
+    mask[rest] = second[norm[rest] % m2]
     return mask
 
 
@@ -249,16 +239,21 @@ def _int64_cbrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def _object_values(scaled, e: int, p: np.ndarray, q: np.ndarray) -> tuple:
-    """G = ga + gb*w at the points p/q of object arrays, as object arrays, by
-    `descent._homogeneous_value` on Python ints a point at a time, which holds
-    one point's partial sums and at high degree beats numpy's object loops."""
+def _object_values(scaled, residues, e: int, p: np.ndarray, q: np.ndarray) -> tuple:
+    """(p, q, ga, gb) as object arrays at the points p/q, int64 arrays, that
+    pass the prefilter on G mod _M, in int64 from `residues`, the D^3 c_i mod
+    _M; G = ga + gb*w is then evaluated on Python ints a point at a time,
+    which holds one point's partial sums and at high degree beats numpy's
+    object loops."""
     import numpy as np
 
+    ga, gb = _homogeneous_value(residues, e, p % _M, q % _M, _M)
+    keep = _is_cube_residue(ga * ga - ga * gb + gb * gb)  # >= 0, below 2^40
+    p, q = p[keep].astype(object), q[keep].astype(object)
     ga, gb = np.empty(len(p), dtype=object), np.empty(len(p), dtype=object)
     for i, point in enumerate(zip(p.tolist(), q.tolist())):
         ga[i], gb[i] = _homogeneous_value(scaled, e, *point)
-    return ga, gb
+    return p, q, ga, gb
 
 
 def _object_cbrt(n: np.ndarray) -> np.ndarray:
@@ -426,12 +421,11 @@ class SearchReport:
                 f'{i1}}},{i1}"z": "{z}"{indent}}}')
 
     def _render_block(self, block: tuple, indent: str) -> str:
-        # the block's text: gathered whole, or its findings' texts joined
+        # an int64 block is gathered whole, its s^3 and r s below 2^63 by the
+        # int64 bound (module docstring); any other, its findings' texts joined
         p, q, ga, gb, r = block
-        d, e = self.scale
-        top = int(q.max())
-        if (p.dtype != object and d ** 3 * top ** e < 2 ** 63
-                and int(r.max()) * d * top ** (e // 3) < 2 ** 63):
+        if p.dtype != object:
+            d, e = self.scale
             return _block_text(p, q, ga, gb, d ** 3 * q ** e, r * (d * q ** (e // 3)), indent)
         return ("," + indent).join(self._render_finding(finding, indent)
                                    for finding in zip(*(x.tolist() for x in block)))
@@ -478,18 +472,16 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
         if max(ps.max(), -ps.min(), qs.max()) <= last:  # the block's largest height
             int64_points += points
             ga, gb = _homogeneous_value(scaled, e, ps, qs)
-            cbrt = _int64_cbrt
+            norm = ga * ga - ga * gb + gb * gb
+            keep = _is_cube_residue(norm)
+            ps, qs, ga, gb, norm = ps[keep], qs[keep], ga[keep], gb[keep], norm[keep]
+            root = _int64_cbrt(norm)
         else:
             # G mod _M in int64 first: only the points it keeps reach Python ints
-            keep = _cube_residue_mask(residues, e, ps, qs)
-            ps, qs = ps[keep].astype(object), qs[keep].astype(object)
-            ga, gb = _object_values(scaled, e, ps, qs)
-            cbrt = _object_cbrt
-        norm = ga * ga - ga * gb + gb * gb
-        keep = _is_cube_residue(norm)
-        ps, qs, ga, gb, norm = ps[keep], qs[keep], ga[keep], gb[keep], norm[keep]
+            ps, qs, ga, gb = _object_values(scaled, residues, e, ps, qs)
+            norm = ga * ga - ga * gb + gb * gb
+            root = _object_cbrt(norm)
         modular_rejects += points - len(ps)
-        root = cbrt(norm)
         cube = root * root * root == norm
         counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
         counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eisdescent import (
@@ -27,7 +27,7 @@ from eisdescent import (
 )
 from eisdescent import eisenstein
 from eisdescent.cli import main
-from eisdescent.descent import _homogeneous_value, _past_norm_filter
+from eisdescent.descent import _cover_coefficients, _homogeneous_value, _past_norm_filter
 from eisdescent.intfactor import icbrt
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -366,13 +366,20 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
     residues = [(a % search_module._M, b % search_module._M) for a, b in scaled]
     cube_residues = {m: {x ** 3 % m for x in range(m)} for m in PRIME_POWERS}
     for p, q in search_module._point_blocks(height):
-        mask = search_module._cube_residue_mask(residues, e, p, q).tolist()
-        for keep, pq in zip(mask, zip(p.tolist(), q.tolist())):
+        # the evaluator of a block past the int64 bound keeps, as Python ints,
+        # exactly the points whose N(G) passes, with G at each
+        kept = search_module._object_values(scaled, residues, e, p, q)
+        assert [x.dtype for x in kept] == [object] * 4
+        expected = []
+        for pq in zip(p.tolist(), q.tolist()):
             norm = norm_of_g(scaled, e, *pq)
-            assert keep == all(norm % m in cube_residues[m] for m in cube_residues), pq
-            if not keep:
+            if all(norm % m in cube_residues[m] for m in cube_residues):
+                expected.append(pq)
+            else:
                 root = icbrt(norm)
                 assert root ** 3 != norm, pq
+        assert list(zip(*(x.tolist() for x in kept))) == [
+            (*pq, *_homogeneous_value(scaled, e, *pq)) for pq in expected]
 
 
 @pytest.mark.parametrize("degree", range(1, 10))
@@ -451,19 +458,16 @@ def test_joint_prefilter_equals_the_per_modulus_tables_and_is_built_once():
         assert np.array_equal(search_module._is_cube_residue(norm), per_modulus_residue_mask(norm))
 
 
-def test_prefilter_reads_object_norms_past_int64():
-    # the norms of a block past the int64 bound are Python ints in an object array
-    rng = np.random.default_rng(28)
-    norms = [int(v) * 10 ** k + int(u) for v, u, k in zip(rng.integers(1, 2**62, 2000),
-                                                        rng.integers(0, 2**62, 2000),
-                                                        rng.integers(1, 60, 2000).tolist())]
-    norms += [x ** 3 for x in range(2**21, 2**21 + 200)] + [10**60 + 1, 2**64, 0, 1]
-    assert max(norms) > 2**63
-    mask = search_module._is_cube_residue(np.array(norms, dtype=object))
-    assert mask.dtype == bool
-    expected = [all(n % m in {x ** 3 % m for x in range(m)} for m in PRIME_POWERS) for n in norms]
-    assert mask.tolist() == expected
-    assert set(expected) == {True, False}
+def test_the_prefilter_reads_only_int64_norms(monkeypatch):
+    # an int64 block is filtered on its exact N(G), a block past the bound
+    # (heights above 10 here) on N(G) mod _M from G mod _M, once each
+    seen = []
+    is_cube_residue = search_module._is_cube_residue
+    monkeypatch.setattr(search_module, "_is_cube_residue",
+                        lambda norm: seen.append(norm.dtype) or is_cube_residue(norm))
+    report = search(coefficients("0,0,0,1000000*w"), 60)
+    assert {block[0].dtype for block in report.blocks} == {np.dtype(np.int64), np.dtype(object)}
+    assert seen == [np.dtype(np.int64)] * len(list(search_module._point_blocks(60, 10)))
 
 
 def test_search_counters_account_for_every_finite_point(capsys):
@@ -526,6 +530,48 @@ def test_points_on_both_sides_of_the_int64_bound_match_specialize():
     assert report.infinity["classification"] == points[-1][1].kind.value
 
 
+# distinct primes are coprime denominators; the last is the largest below 10^6
+PRIMES = [n for n in range(2, 200) if all(n % k for k in range(2, n))] + [999_983]
+
+
+@st.composite
+def rational_covers(draw):
+    """f of degree 1 to 9 over Q(w), constant term first, about half its
+    coefficients 0, the others with distinct prime denominators or any up
+    to 10^6."""
+    degree = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        dens = draw(st.lists(st.sampled_from(PRIMES), min_size=degree + 1,
+                             max_size=degree + 1, unique=True))
+    else:
+        dens = draw(st.lists(st.integers(1, 10**6), min_size=degree + 1, max_size=degree + 1))
+    coeffs = [EisensteinRational(EisensteinInt(draw(coordinates), draw(coordinates)), den)
+              if draw(st.booleans()) else EisensteinRational(0) for den in dens]
+    if not coeffs[-1]:
+        coeffs[-1] = EisensteinRational(1, dens[-1])
+    return coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_covers())
+@example([0, 0, 0, EisensteinRational(OMEGA, 1000)])  # T = 10, s^3 = 10^12
+@example([0, EisensteinRational(OMEGA, 35211)])  # T = 1; D = 35,212 has no int64 block
+@example([0] * 9 + [EisensteinRational(1, 11)])  # T = 6, e = 9
+def test_the_int64_bound_keeps_a_blocks_text_in_int64(coeffs):
+    # a nonzero D^3 c_i has a coordinate of size >= D^3/den >= D^2, so at the
+    # last int64 height T, where B = weight T^e has 3 B^2 < 2^62, s^3 = D^3 T^e
+    # and r s with r <= icbrt(3 B^2) stay below 2^63 (T = 0: no int64 block)
+    _, scaled, d, e = _cover_coefficients(coeffs)
+    weight = sum(abs(a) + abs(b) for a, b in scaled)
+    assert weight >= d * d
+    last = 0
+    while 3 * (weight * (last + 1) ** e) ** 2 < 2 ** 62:
+        last += 1
+    bound = weight * last ** e
+    assert d ** 3 * last ** e < 2 ** 63
+    assert icbrt(3 * bound * bound) * d * last ** (e // 3) < 2 ** 63
+
+
 @pytest.mark.parametrize("seed_error", [0.0, -0.99, 0.99])
 def test_int64_cube_root_is_the_floor_at_and_beside_every_cube(monkeypatch, seed_error):
     # every k with k^3 < 2^62, at k^3 - 1, k^3 and k^3 + 1, whose floors are
@@ -559,6 +605,8 @@ def report_section(coeffs, height, capsys):
     # 3 (28 T^6)^2 < 2^62 up to T = 18; 3 (10^6 T^3)^2 < 2^62 up to T = 10
     ("1,2,3,4,5,6,7", 30, 18, "64404b423f2b310b3b1291990659e524bb291ac80439054d8e833b8d31962ae7"),
     ("0,0,0,1000000*w", 60, 10, "acc5dd193d32517c5be901acf921861320a09dfc07d576864548c5df9484d096"),
+    # D = 1000: 3 (10^6 T^3)^2 < 2^62 up to T = 10, findings on both sides
+    ("0,0,0,1/1000*w", 60, 10, "7efb16a209c1a1091cced0eaa6a5788ee9ab866637bb329fc573fe887514ba29"),
 ])
 def test_a_block_ends_at_the_last_height_within_the_int64_bound(capsys, coeffs, height, last,
                                                                 sha):
