@@ -22,6 +22,9 @@ one item per block of integer columns, so no dict of strings is built per
 finding.  json.dumps cannot encode such a document; `dumps_document`
 writes what json.dumps gives for the same document with each entry as its
 dict.
+
+`search`'s block text and `ResidueSet.write_csv` write int64 values as
+`_digits` columns, padded with the byte 0, which `_gathered` drops.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RenderedList", "dumps_document", "fingerprint", "make_document"]
 
@@ -111,3 +117,30 @@ def _write(pieces: list[str], value, newline: str) -> None:
         pieces.append(newline + "]")
     else:
         pieces.append(json.dumps(value))
+
+
+def _digits(v: np.ndarray) -> np.ndarray:
+    """uint8 rows of the ASCII decimal digits of the int64 values v >= 0,
+    right-aligned, with the byte 0 in place of each leading zero."""
+    import numpy as np
+
+    width = len(str(int(v.max())))
+    digits = np.empty((width, len(v)), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):  # the last digit first
+        rest = v // 10
+        digit = v - 10 * rest + ord("0")
+        if k < width - 1:  # 0 is written "0"
+            digit *= v > 0
+        digits[k] = digit
+        v = rest
+    return digits.T
+
+
+def _gathered(columns: list[np.ndarray]) -> np.ndarray:
+    """The rows of the uint8 columns (2-d arrays of as many rows) side by
+    side, as one uint8 array without the byte 0 that pads them (the digit 0
+    is byte 48); its buffer is the text, so no bytes copy is needed."""
+    import numpy as np
+
+    flat = np.concatenate(columns, axis=1).ravel()
+    return flat[flat != 0]

@@ -10,10 +10,10 @@ those indices; a set keeps only its sorted member indices.  The
 lexicographically first producer of a value, which counterexample reports
 name, is found by `ResidueSet.first_producers`, which scans the grid again
 for just the values asked about.  `ResidueSet.write_csv` writes rows as
-bytes gathered from a per-modulus table of decimal digits, never formatting
-an int in Python.  numpy is imported by the functions that scan and by
-`in_form_image`, not by the module, so importing it (and the CLI) does not
-load numpy.
+bytes gathered from the decimal digit columns of `reports._digits`, never
+formatting an int in Python.  numpy is imported by the functions that scan
+and by `in_form_image`, not by the module, so importing it (and the CLI)
+does not load numpy.
 
 Cubes are scanned over the box z in [0, 3^(k-1))^2 when k >= 2:
 (z + 3^(k-1) t)^3 = z^3 (mod 3^k), since the cross terms carry a factor
@@ -37,6 +37,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
+
+from .reports import _digits, _gathered
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,33 +136,12 @@ class ResidueSet:
         """Rows "a,b" in enumeration order, after a "# ring=3^k set=..." header."""
         import numpy as np
 
-        m = self.ring.modulus
-        digits = _decimal_table(m)
-        width = digits.shape[1]
         with open(path, "wb") as fh:
             fh.write(f"# ring=3^{self.ring.k} set={self.name}\n".encode("ascii"))
             for lo in range(0, self.values.size, _CSV_ROWS):
-                a, b = np.divmod(self.values[lo:lo + _CSV_ROWS], m)
-                rows = np.empty((a.size, 2 * width + 2), dtype=np.uint8)
-                rows[:, :width] = digits[a]
-                rows[:, width] = ord(",")
-                rows[:, width + 1:-1] = digits[b]
-                rows[:, -1] = ord("\n")
-                flat = rows.ravel()
-                fh.write(flat[flat != 0].tobytes())  # drops the pad: the digit 0 is byte 48
-
-
-@functools.cache
-def _decimal_table(m: int) -> np.ndarray:
-    """uint8 rows: the ASCII decimal digits of 0..m-1, left-aligned, zero-padded."""
-    import numpy as np
-
-    width = len(str(m - 1))
-    v = np.arange(m, dtype=np.int64)[:, np.newaxis]
-    length = 1 + (v >= 10 ** np.arange(1, width)).sum(axis=1, keepdims=True)
-    place = length - 1 - np.arange(width)  # power of ten of each column's digit
-    digit = v // 10 ** np.maximum(place, 0) % 10
-    return np.where(place >= 0, digit + ord("0"), 0).astype(np.uint8)
+                a, b = np.divmod(self.values[lo:lo + _CSV_ROWS], self.ring.modulus)
+                comma, newline = (np.full((a.size, 1), ord(c), dtype=np.uint8) for c in ",\n")
+                fh.write(_gathered([_digits(a), comma, _digits(b), newline]))
 
 
 def _grid(m: int, value_fn: ValueFn, side: int):

@@ -34,20 +34,23 @@ and each step is exact:
   and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  A block also ends at the
   largest height where 3 B^2 < 2^62, and the blocks up to it are decided in
   exact int64.  A block past the bound takes the same steps on object
-  arrays of Python ints, save the prefilter, the evaluation a point at a
-  time and the cube root of the norm filter.  The bound also keeps an int64
-  block's text in int64: a nonzero D^3 c_i has a coordinate of size at
-  least D^3/v >= D^2, v <= D its denominator, so D^2 T^e <= B < 2^30.2,
-  s^3 = D * D^2 q^e < 2^45.3 and r s < 2^20.7 * 2^15.1.
+  arrays of Python ints, save three: the prefilter runs first, G is
+  evaluated a point at a time, and the norm filter's cube root is `icbrt`.
+  The bound also keeps an int64 block's text in int64: a nonzero D^3 c_i
+  has a coordinate of size at least D^3/v >= D^2, v <= D its denominator,
+  so D^2 T^e <= B < 2^30.2, s^3 = D * D^2 q^e < 2^45.3 and
+  r s < 2^20.7 * 2^15.1.
 * Modular prefilter.  An integer cube is a cube residue modulo every m, so
   a point whose N(G) is not one mod 819 = 7*9*13 or mod 703 = 19*37 is
   NoDescent.  Each table marks x^3 mod m, by the CRT the residues that are
   cube residues modulo each of 7, 9, 13, 19 and 37; the second is read only
-  at the 45 of 819 residues that pass the first.  Each block is filtered
-  once: an int64 block on its exact N(G), a block past the bound on G mod
-  M = 819 * 703 = 575,757, which depends only on p and q mod M, so the
-  evaluator reduced mod M at each step and the norm run in int64, all below
-  2^60, and only the points that pass become Python ints.
+  at the 45 of 819 residues that pass the first.  Only a block past the
+  bound is filtered, on G mod M = 819 * 703 = 575,757, which depends only on
+  p and q mod M, so the evaluator reduced mod M at each step and the norm
+  run in int64, all below 2^60, and only the points that pass become Python
+  ints.  An int64 block goes straight to the norm filter: its exact cube
+  root rejects every point the prefilter would, and the prefilter in front
+  of it saved no measured time (README).
 * Norm filter.  G is NoDescent unless N(G) is a perfect integer cube r^3
   (the argument is `descent._classify_integral`'s, shared with
   `classify`).  Within the bound r is taken from a float64 seed, the
@@ -96,7 +99,7 @@ from .descent import (
 )
 from .eisenstein import _cube_residue_tables, _fmt_frac, _format_element
 from .intfactor import _step_units, icbrt
-from .reports import RenderedList
+from .reports import RenderedList, _digits, _gathered
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,22 +112,22 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # The one bound on the walk, checked before it starts against the work
 # ((2H + 1) * H + 1) * (n + 1) * c for f of degree n: (2H + 1) * H + 1 >= the
 # number of points of height <= H (p in [-H, H], q in [1, H], plus infinity),
-# the prefilter and the Horner sum take n + 1 steps per point, and
-# c = ceil(b/128)^2 charges each step by the b bits of the largest scaled
-# coefficient D^3 c_i, as `intfactor` charges a rho step; c = 1 up to 128
-# bits, so the heights below hold for such coefficients.  At degree 3
-# it allows H <= 499, 303,664 points.  There the CLI took 0.50-0.89 s over six
-# runs and peaked at 136 MB on t^3 = w z^3, where every finite nonzero point
-# descends and the findings are held as int64 columns until the writer
-# renders them, and 0.14-0.26 s and 34 MB on t^3 = 3(z^3 + 2), where the
-# modular prefilter rejects all but 1,283 points.  At degree 99 it allows
-# H <= 99, where t^3 = w z^99 took 0.63-0.64 s and 51.3 MB for 6.6 MB of
-# JSON, and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took
-# 0.28-0.29 s and 34.4 MB (nine runs each).  With the 3,001-digit
-# coefficient 10^3000 w at z^3 (b = 9,966, c = 6,084) it allows H <= 6,
-# which took 0.35-0.45 s and 34 MB; uncharged, H = 60 took 21 s, 81 MB and
-# 18 MB of JSON (three runs each unless stated, 2-core x86 VM, Python 3.11,
-# numpy 2.4).
+# the Horner sum takes n + 1 steps per point (so does the prefilter's, mod _M,
+# past the int64 bound), and c = ceil(b/128)^2 charges each step by the b bits
+# of the largest scaled coefficient D^3 c_i, as `intfactor` charges a rho
+# step; c = 1 up to 128 bits, so the heights below hold for such
+# coefficients.  At degree 3 it allows H <= 499, 303,664 points.  There the
+# CLI took 0.42-0.47 s and peaked at 135 or 171 MB (README says why) on
+# t^3 = w z^3, where every finite nonzero point descends and the findings
+# are held as int64 columns until the writer renders them, and 0.14-0.17 s
+# and 33.8 MB on t^3 = 3(z^3 + 2), where the norm filter's exact cube root
+# rejects every point (nine runs each).  At degree 99 it allows H <= 99,
+# where t^3 = w z^99 took 0.63-0.64 s and 51.3 MB for 6.6 MB of JSON, and at
+# degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took 0.28-0.29 s and
+# 34.4 MB (nine runs each).  With the 3,001-digit coefficient 10^3000 w at
+# z^3 (b = 9,966, c = 6,084) it allows H <= 6, which took 0.35-0.45 s and
+# 34 MB; uncharged, H = 60 took 21 s, 81 MB and 18 MB of JSON (three runs
+# each unless stated, 2-core x86 VM, Python 3.11, numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000
 
 
@@ -215,8 +218,8 @@ def enumerate_rationals(height: int) -> Iterator[Fraction]:
 
 
 def _is_cube_residue(norm: np.ndarray) -> np.ndarray:
-    """True where the int64 values norm >= 0, each N(G) or congruent to it
-    mod _M, are a cube residue mod 819 and mod 703."""
+    """True where the int64 values norm >= 0, each congruent to an N(G) mod
+    _M, are a cube residue mod 819 and mod 703."""
     (m1, first), (m2, second) = _joint_residues()
     mask = first[norm % m1]
     rest = mask.nonzero()[0]  # 45 of the 819 residues mod m1 pass
@@ -305,23 +308,6 @@ def _finding_strings(finding: tuple[int, int, int, int, int], d: int,
             _fmt_frac(ga, rs), _fmt_frac(gb, rs))  # x + w y = G/(r s)
 
 
-def _digits(v: np.ndarray) -> np.ndarray:
-    """uint8 rows of the ASCII decimal digits of the int64 values v >= 0,
-    right-aligned, with the byte 0 in place of each leading zero."""
-    import numpy as np
-
-    width = len(str(int(v.max())))
-    digits = np.empty((width, len(v)), dtype=np.uint8)
-    for k in range(width - 1, -1, -1):  # the last digit first
-        rest = v // 10
-        digit = v - 10 * rest + ord("0")
-        if k < width - 1:  # 0 is written "0"
-            digit *= v > 0
-        digits[k] = digit
-        v = rest
-    return digits.T
-
-
 def _fraction(n: np.ndarray, d: np.ndarray, reduce: bool = True) -> list[np.ndarray]:
     """uint8 columns of n/d as `_fmt_frac` writes it, for int64 arrays, d >= 1:
     sign, numerator, slash and denominator, with the byte 0 where unwritten.
@@ -368,9 +354,7 @@ def _block_text(p, q, ga, gb, s3, rs, indent: str) -> str:
                text(f'",{i2}"y": "'), *_fraction(gb, rs),
                text(f'"{i1}}},{i1}"z": "'), *_fraction(p, q, reduce=False),
                text(f'"{indent}}},{indent}')]
-    flat = np.concatenate(columns, axis=1).ravel()
-    # drops the pad (the digit 0 is byte 48) and the last separator
-    return flat[flat != 0].tobytes()[:-len(indent) - 1].decode("ascii")
+    return str(_gathered(columns)[:-len(indent) - 1], "ascii")  # less the last separator
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,8 +434,9 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
     `scaled` and e are those of `descent._cover_coefficients`.  Also returns
     the Descends findings as the checked columns (p, q, ga, gb, r) of each
     block that has any, and the counters of the walk: the points, those
-    rejected by the modular prefilter and by the norm filter, the
-    `_cube_root` calls, and the points decided in int64.
+    rejected by the modular prefilter (which runs past the int64 bound only)
+    and by the norm filter, the `_cube_root` calls, and the points decided
+    in int64.
     """
     import numpy as np
 
@@ -472,16 +457,12 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
         if max(ps.max(), -ps.min(), qs.max()) <= last:  # the block's largest height
             int64_points += points
             ga, gb = _homogeneous_value(scaled, e, ps, qs)
-            norm = ga * ga - ga * gb + gb * gb
-            keep = _is_cube_residue(norm)
-            ps, qs, ga, gb, norm = ps[keep], qs[keep], ga[keep], gb[keep], norm[keep]
-            root = _int64_cbrt(norm)
         else:
             # G mod _M in int64 first: only the points it keeps reach Python ints
             ps, qs, ga, gb = _object_values(scaled, residues, e, ps, qs)
-            norm = ga * ga - ga * gb + gb * gb
-            root = _object_cbrt(norm)
-        modular_rejects += points - len(ps)
+            modular_rejects += points - len(ps)
+        norm = ga * ga - ga * gb + gb * gb
+        root = _object_cbrt(norm) if norm.dtype == object else _int64_cbrt(norm)
         cube = root * root * root == norm
         counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
         counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisdescent import OMEGA, EisensteinRational, cli, search
-from eisdescent.reports import RenderedList, dumps_document
+from eisdescent.reports import RenderedList, _digits, _gathered, dumps_document
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
 
@@ -190,3 +190,13 @@ def test_gathered_block_text_equals_the_text_of_each_finding(scale):
     findings = zip(*(x.tolist() for x in block))
     assert text == ("," + indent).join(report._render_finding(f, indent) for f in findings)
     assert report._render_block(block, indent) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50))
+def test_digit_columns_gather_to_plain_formatting(values):
+    # the pad of `_digits` is the byte 0 wherever it sits, and `_gathered` drops it
+    v = np.array(values + [0, 9, 10], dtype=np.int64)
+    newline = np.full((len(v), 1), ord("\n"), dtype=np.uint8)
+    plain = "".join(f"{x}\n" for x in v.tolist())
+    assert _gathered([_digits(v), newline]).tobytes() == plain.encode("ascii")

@@ -256,11 +256,3 @@ def test_csv_bytes_equal_plain_formatting(tmp_path, scan, k):
     m = 3**k
     plain = "".join(f"{v // m},{v % m}\n" for v in image.values.tolist())
     assert path.read_bytes() == f"# ring=3^{k} set={image.name}\n{plain}".encode("ascii")
-
-
-@pytest.mark.parametrize("k", range(1, MAX_VERIFY_K + 1))
-def test_decimal_table_rows_spell_their_index(k):
-    table = residues._decimal_table(3**k)
-    assert table.shape == (3**k, len(str(3**k - 1)))
-    assert [bytes(row).rstrip(b"\0").decode("ascii") for row in table] == \
-        [str(v) for v in range(3**k)]

@@ -459,27 +459,36 @@ def test_joint_prefilter_equals_the_per_modulus_tables_and_is_built_once():
 
 
 def test_the_prefilter_reads_only_int64_norms(monkeypatch):
-    # an int64 block is filtered on its exact N(G), a block past the bound
-    # (heights above 10 here) on N(G) mod _M from G mod _M, once each
+    # an int64 block (heights up to 10 here) goes straight to the exact cube
+    # root; each block past the bound is filtered once, on N(G) mod _M from
+    # G mod _M
     seen = []
     is_cube_residue = search_module._is_cube_residue
     monkeypatch.setattr(search_module, "_is_cube_residue",
-                        lambda norm: seen.append(norm.dtype) or is_cube_residue(norm))
+                        lambda norm: seen.append(norm) or is_cube_residue(norm))
     report = search(coefficients("0,0,0,1000000*w"), 60)
     assert {block[0].dtype for block in report.blocks} == {np.dtype(np.int64), np.dtype(object)}
-    assert seen == [np.dtype(np.int64)] * len(list(search_module._point_blocks(60, 10)))
+    blocks = list(search_module._point_blocks(60, 10))
+    past = [len(p) for p, q in blocks if max(p.max(), -p.min(), q.max()) > 10]
+    assert len(seen) == len(past) == len(blocks) - 1
+    assert all(norm.dtype == np.int64 for norm in seen)
+    assert [len(norm) for norm in seen] == past
 
 
 def test_search_counters_account_for_every_finite_point(capsys):
-    # the last two are pinned from the walk that counted point by point
+    # the prefilter runs past the int64 bound only: 6*10^12 + 3*10^12 z^3 has
+    # no int64 block, so there it rejects all but 178 points
     for coeffs, height, pinned in [
         ("6,0,0,3", 60, None),
         ("0,0,0,w", 30, None),
         ("w,0,0,1", 40, None),
-        ("6,0,0,3", 200, {"points": 48927, "modular_rejects": 48749,
-                          "norm_rejects": 178, "cube_root_calls": 0, "int64_points": 48927}),
+        ("6,0,0,3", 200, {"points": 48927, "modular_rejects": 0,
+                          "norm_rejects": 48927, "cube_root_calls": 0, "int64_points": 48927}),
         ("0,0,0,w", 60, {"points": 4407, "modular_rejects": 0,
                          "norm_rejects": 0, "cube_root_calls": 4406, "int64_points": 4407}),
+        ("6000000000000,0,0,3000000000000", 200, {"points": 48927, "modular_rejects": 48749,
+                                                  "norm_rejects": 178, "cube_root_calls": 0,
+                                                  "int64_points": 0}),
     ]:
         report = search([parse_element(c) for c in coeffs.split(",")], height)
         assert main(["search", "--coeffs", coeffs, "--height", str(height)]) == 0
@@ -493,9 +502,10 @@ def test_search_counters_account_for_every_finite_point(capsys):
         assert c["modular_rejects"] + c["norm_rejects"] == finite["NoDescent"]
         assert c["cube_root_calls"] == finite["Disconnected"] + finite["Descends"]
         assert 0 <= c["int64_points"] <= c["points"]
+        if c["int64_points"] == c["points"]:  # the prefilter runs past the bound only
+            assert c["modular_rejects"] == 0
         if pinned is not None:
             assert c == pinned
-    assert search(TARGET_COVER, 60).counters["modular_rejects"] > 0
 
 
 def coefficients(text):
