@@ -240,6 +240,12 @@ _HANDLERS = {
 }
 
 
+def _write_text(stream, text: str) -> None:
+    # a MiB at a time: a text stream encodes what it is given as one copy
+    for lo in range(0, len(text), 1 << 20):
+        stream.write(text[lo:lo + (1 << 20)])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -251,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         # the file first, so an unwritable --json path leaves stdout empty
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
-                fh.write(text)
-        sys.stdout.write(text)
+                _write_text(fh, text)
+        _write_text(sys.stdout, text)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         message = str(exc)
         if message.startswith("Exceeds the limit"):

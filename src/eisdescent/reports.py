@@ -137,9 +137,8 @@ def _digits(v: np.ndarray) -> np.ndarray:
 
 
 def _gathered(columns: list[np.ndarray]) -> np.ndarray:
-    """The rows of the uint8 columns (2-d arrays of as many rows) side by
-    side, as one uint8 array without the byte 0 that pads them (the digit 0
-    is byte 48); its buffer is the text, so no bytes copy is needed."""
+    """The rows of the 2-d uint8 columns side by side, less every pad byte 0
+    (the digit 0 is byte 48): one uint8 array whose buffer is the text."""
     import numpy as np
 
     flat = np.concatenate(columns, axis=1).ravel()

@@ -117,15 +117,14 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # of the largest scaled coefficient D^3 c_i, as `intfactor` charges a rho
 # step; c = 1 up to 128 bits, so the heights below hold for such
 # coefficients.  At degree 3 it allows H <= 499, 303,664 points.  There the
-# CLI took 0.42-0.47 s and peaked at 135 or 171 MB (README says why) on
-# t^3 = w z^3, where every finite nonzero point descends and the findings
-# are held as int64 columns until the writer renders them, and 0.14-0.17 s
-# and 33.8 MB on t^3 = 3(z^3 + 2), where the norm filter's exact cube root
-# rejects every point (nine runs each).  At degree 99 it allows H <= 99,
-# where t^3 = w z^99 took 0.63-0.64 s and 51.3 MB for 6.6 MB of JSON, and at
-# degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took 0.28-0.29 s and
-# 34.4 MB (nine runs each).  With the 3,001-digit coefficient 10^3000 w at
-# z^3 (b = 9,966, c = 6,084) it allows H <= 6, which took 0.35-0.45 s and
+# CLI took 0.50-0.70 s and peaked at 135.5 MB on t^3 = w z^3, where every
+# finite nonzero point descends and the findings are held as int64 columns
+# until the writer renders them, and 0.16-0.27 s and 33.7 MB on the paper's
+# cover, whose every point the norm filter rejects.  At degree 99 it allows
+# H <= 99, where t^3 = w z^99 took 0.63-0.64 s and 51.3 MB for 6.6 MB of
+# JSON, and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took
+# 0.28-0.29 s and 34.4 MB (nine runs each).  With the 3,001-digit 10^3000 w
+# at z^3 (b = 9,966, c = 6,084) it allows H <= 6, which took 0.35-0.45 s and
 # 34 MB; uncharged, H = 60 took 21 s, 81 MB and 18 MB of JSON (three runs
 # each unless stated, 2-core x86 VM, Python 3.11, numpy 2.4).
 MAX_SEARCH_WORK = 2_000_000

@@ -556,6 +556,15 @@ class TestJsonAndStability:
         assert code == 0
         assert path.read_text() == out
 
+    def test_json_flag_writes_same_document_past_one_mib(self, capsys, tmp_path):
+        # 1.8 MB, so both writers cross a boundary of the MiB pieces
+        path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "search", "--coeffs", "0,0,0,w", "--height", "100",
+                               "--json", str(path))
+        assert code == 0 and len(out) > 1 << 20
+        assert path.read_text() == out
+        assert json.loads(out)["report"]["counts"]["Descends"] == out.count('"witness": {') + 1
+
     def test_reports_byte_stable_across_runs(self, capsys):
         _, doc1, _ = run_json(capsys, "verify", "no-solution", "--k", "2")
         _, doc2, _ = run_json(capsys, "verify", "no-solution", "--k", "2")
