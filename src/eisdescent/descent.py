@@ -261,29 +261,79 @@ def _cover_coefficients(coefficients: Sequence) -> tuple[list, list, int, int]:
     return coeffs, scaled, d, -(-degree // 3) * 3
 
 
-def _homogeneous_value(scaled, e: int, p, q, m: int = 0) -> tuple:
+def _cover_terms(scaled, e: int) -> tuple:
+    """The nonzero terms of `scaled` and e, from `_cover_coefficients`, as
+    `_homogeneous_value` reads them: (terms, gaps, low).
+
+    terms lists each nonzero D^3 c_i = ca + cb*w as (gap, ca, cb), from the
+    leading coefficient c_n down, where gap is e - n for c_n and i' - i for
+    c_i after c_i'; gaps is the set of their gaps, and low the index i of the
+    last.  A dense cover has gaps {e - n, 1} and low 0.
+    """
+    terms, above = [], e
+    for i, (ca, cb) in zip(range(len(scaled) - 1, -1, -1), scaled):
+        if ca or cb:
+            terms.append((above - i, ca, cb))
+            above = i
+    return tuple(terms), frozenset(gap for gap, _, _ in terms), above
+
+
+def _power(x, k: int, m: int):
+    """x^k for an int or an int64 array x, reduced mod m when m > 0.
+
+    An array is raised by square-and-multiply, which numpy's integer power
+    is slower than; with m > 0, x in [0, m) and every product is below m^2.
+    """
+    if isinstance(x, int):
+        return pow(x, k, m) if m else x ** k
+    if not k:
+        return 1
+    power = x
+    for bit in bin(k)[3:]:
+        power = power * power % m if m else power * power
+        if bit == "1":
+            power = power * x % m if m else power * x
+    return power
+
+
+def _homogeneous_value(cover, p, q, m: int = 0) -> tuple:
     """G(p, q) = sum of D^3 c_i p^i q^(e-i), the cover at the point (p : q) of P^1.
 
-    scaled and e are those of `_cover_coefficients`.  G is homogeneous of
+    cover is the (terms, gaps, low) of `_cover_terms`.  G is homogeneous of
     degree e, a multiple of 3.  At p/q, G = (D q^(e/3))^3 f(p/q) is f(p/q)
     times a cube, so it has the classification of f(p/q).  At infinity,
     (1 : 0), G = D^3 c_e: D^3 times the leading coefficient when 3 | n, and
-    0 (a branch point) otherwise.  `search` runs the same loop on Python
-    ints at each point of a block past its int64 bound, and on a block's
-    int64 arrays of points within it, where with m = 0 it is exact while
-    every value fits, which `search` proves from the bound before the call.
-    With m > 0 each step is reduced mod m, giving G mod m for `search`'s
-    prefilter; p, q and scaled must then lie in [0, m), and for m <= 2^20 no
-    value reaches 2^60 (c_e q^(e-n) and q^(e-n+1) with e - n <= 2).
+    0 (a branch point) otherwise.
+
+    Horner's rule over the nonzero terms alone: after c_i' the sums hold
+    sum of D^3 c_k p^(k-i') q^(e-k) over k >= i'; the next term c_i
+    multiplies them by p^gap, with gap = i' - i, and adds D^3 c_i q^(e-i),
+    the power of q times q^gap; after the last, at i = low, one factor
+    p^low.  A dense cover takes the steps of the plain Horner loop, and
+    w z^99 one term and p^99.  `search` runs it on Python ints at each
+    point of a block past its int64 bound, and on a block's int64 arrays
+    of points within it, where with m = 0 it is exact while every value
+    fits, which `search` proves from the bound before the call.  With
+    m > 0 each step is reduced mod m, giving G mod m for `search`'s
+    prefilter, the powers by `_power`; p, q and the terms must then lie in
+    [0, m), and no value reaches 2 m^2, below 2^41 for m <= 2^20.
     """
+    terms, gaps, low = cover
+    powers = {gap: (_power(p, gap, m), _power(q, gap, m)) for gap in gaps}
     ga = gb = 0
-    qk = q ** (e + 1 - len(scaled))  # q^(e-n), then one more q per term
-    for ca, cb in scaled:
-        ga = ga * p + ca * qk
-        gb = gb * p + cb * qk
-        qk *= q
+    qk = 1
+    for gap, ca, cb in terms:
+        pg, qg = powers[gap]
+        qk = qk * qg
+        ga = ga * pg + ca * qk
+        gb = gb * pg + cb * qk
         if m:
             ga, gb, qk = ga % m, gb % m, qk % m
+    if low:
+        pl = _power(p, low, m)
+        ga, gb = ga * pl, gb * pl
+        if m:
+            ga, gb = ga % m, gb % m
     return ga, gb
 
 
@@ -296,6 +346,6 @@ def specialize(coefficients: Sequence, z0) -> DescentClassification:
     """
     coeffs, scaled, d, e = _cover_coefficients(coefficients)
     p, q = (1, 0) if z0 is INFINITY else Fraction(z0).as_integer_ratio()
-    ga, gb = _homogeneous_value(scaled, e, p, q)
+    ga, gb = _homogeneous_value(_cover_terms(scaled, e), p, q)
     s = d * q ** (e // 3) if q else d
     return classify(EisensteinRational(EisensteinInt(ga, gb), s ** 3))

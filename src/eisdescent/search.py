@@ -18,20 +18,27 @@ and each step is exact:
   G = D^3 c_e: D^3 times the leading coefficient when 3 divides n, and 0,
   a branch point, otherwise.
 * Homogeneous evaluation.  p and q are integers, so G is two integer
-  Horner sums, one per coordinate, with no fraction anywhere.  One
-  evaluator, `descent._homogeneous_value`, serves `specialize`, `search`
-  and the prefilter below, at (p : q) for each point p/q and at (1 : 0)
-  for infinity.  Points come in blocks of whole heights in the order of
-  `enumerate_rationals`, each decided by the steps below on its arrays, so
-  findings come out in report order.  The evaluator runs in one numpy pass
-  on a block's int64 arrays of p and q, or past the bound below on Python
+  Horner sums, one per coordinate, with no fraction anywhere, over the
+  nonzero terms of f alone (`descent._cover_terms`, found once per
+  search): between terms gap apart the sums take a factor p^gap and the
+  power of q a factor q^gap, so a dense f takes the plain Horner loop's
+  steps.  One evaluator, `descent._homogeneous_value`, serves
+  `specialize`, `search` and the prefilter below, at (p : q) for each
+  point p/q and at (1 : 0) for infinity.  Points come in blocks of whole
+  heights in the order of `enumerate_rationals`, each decided by the
+  steps below on its arrays, so findings come out in report order.  A
+  block's points are the coprime (h, c), c <= h, of its heights h, read
+  in one `nonzero` over its rows of the `_coprime` table stacked twice,
+  once for h/c and once for c/h.  The evaluator runs in one numpy pass on
+  a block's int64 arrays of p and q, or past the bound below on Python
   ints a point at a time.  numpy is imported by the functions that build
   and filter the blocks, not by the module, so importing it does not load
   numpy.
 * The int64 bound.  Let B = sum of (|a| + |b|) over the scaled
   coefficients D^3 c_i = a + b w, times T^e for T the largest height in a
-  block.  Every Horner partial sum and both coordinates of G are at most B,
-  and N(G) = ga^2 - ga gb + gb^2 at most 3 B^2.  A block also ends at the
+  block.  Every Horner partial sum, every power of p and q it takes and
+  both coordinates of G are at most B, and N(G) = ga^2 - ga gb + gb^2 at
+  most 3 B^2.  A block also ends at the
   largest height where 3 B^2 < 2^62, and the blocks up to it are decided in
   exact int64.  A block past the bound takes the same steps on object
   arrays of Python ints, save three: the prefilter runs first, G is
@@ -46,8 +53,9 @@ and each step is exact:
   cube residues modulo each of 7, 9, 13, 19 and 37; the second is read only
   at the 45 of 819 residues that pass the first.  Only a block past the
   bound is filtered, on G mod M = 819 * 703 = 575,757, which depends only on
-  p and q mod M, so the evaluator reduced mod M at each step and the norm
-  run in int64, all below 2^60, and only the points that pass become Python
+  p and q mod M, so the evaluator reduced mod M at each step, its powers by
+  square-and-multiply, and the norm run in int64, all below 2^60, and only
+  the points that pass become Python
   ints.  An int64 block goes straight to the norm filter: its exact cube
   root rejects every point the prefilter would, and the prefilter in front
   of it saved no measured time (README).
@@ -58,7 +66,8 @@ and each step is exact:
   corrected to the exact floor with int64 cubes: down by one where
   r^3 > N(G), then up by one where (r + 1)^3 <= N(G); r < 2^21, so
   (r + 1)^3 < 2^63.  Past the bound r is `icbrt` of each N(G).  G = 0,
-  N(G) = 0, is Undefined.  Only points with N(G) = r^3 > 0 go on.
+  N(G) = 0, is Undefined.  Only points with N(G) = r^3 > 0 go on, and a
+  block none of whose norms is a cube stops here.
 * Past the filter, `descent._past_norm_filter`, the last step of
   `_classify_integral`, finds G Disconnected when it is a cube and Descends
   with the witness G/r otherwise.  The residue tests that open `_cube_root`
@@ -92,6 +101,7 @@ from .descent import (
     DescentKind,
     _classify_integral,
     _cover_coefficients,
+    _cover_terms,
     _homogeneous_value,
     _past_norm_filter,
     galois_commutes,  # unused here; perfbench/tracer.py binds search.galois_commutes
@@ -112,21 +122,17 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # The one bound on the walk, checked before it starts against the work
 # ((2H + 1) * H + 1) * (n + 1) * c for f of degree n: (2H + 1) * H + 1 >= the
 # number of points of height <= H (p in [-H, H], q in [1, H], plus infinity),
-# the Horner sum takes n + 1 steps per point (so does the prefilter's, mod _M,
-# past the int64 bound), and c = ceil(b/128)^2 charges each step by the b bits
-# of the largest scaled coefficient D^3 c_i, as `intfactor` charges a rho
-# step; c = 1 up to 128 bits, so the heights below hold for such
-# coefficients.  At degree 3 it allows H <= 499, 303,664 points.  There the
-# CLI took 0.50-0.70 s and peaked at 135.5 MB on t^3 = w z^3, where every
-# finite nonzero point descends and the findings are held as int64 columns
-# until the writer renders them, and 0.16-0.27 s and 33.7 MB on the paper's
-# cover, whose every point the norm filter rejects.  At degree 99 it allows
-# H <= 99, where t^3 = w z^99 took 0.63-0.64 s and 51.3 MB for 6.6 MB of
-# JSON, and at degree 3000 H <= 17, where f = 1 + z + ... + z^3000 took
-# 0.28-0.29 s and 34.4 MB (nine runs each).  With the 3,001-digit 10^3000 w
-# at z^3 (b = 9,966, c = 6,084) it allows H <= 6, which took 0.35-0.45 s and
-# 34 MB; uncharged, H = 60 took 21 s, 81 MB and 18 MB of JSON (three runs
-# each unless stated, 2-core x86 VM, Python 3.11, numpy 2.4).
+# the Horner sum takes at most n + 1 steps per point, one per nonzero term (so
+# does the prefilter's, mod _M, past the int64 bound), and c = ceil(b/128)^2
+# charges each step by the b bits of the largest scaled coefficient D^3 c_i,
+# as `intfactor` charges a rho step; c = 1 up to 128 bits, so the heights
+# below hold for such coefficients.  At degree 3 it allows H <= 499, 303,664
+# points; on t^3 = w z^3, where every finite nonzero point descends and the
+# findings are held as int64 columns until the writer renders them, a test
+# bounds the CLI's peak RSS there at 160 MB.  At degree 99 it allows H <= 99,
+# at degree 3000 H <= 17, and with the 3,001-digit 10^3000 w at z^3
+# (b = 9,966, c = 6,084) H <= 6.  BENCH_31.json records the wall time and peak
+# RSS of the CLI at these heights.
 MAX_SEARCH_WORK = 2_000_000
 
 
@@ -153,7 +159,7 @@ def _joint_residues() -> tuple[tuple[int, np.ndarray], ...]:
 
 # A block of the enumeration holds whole heights and ends at the first height
 # that brings its candidates p/q (before the coprimality test) to this many.
-_BLOCK_POINTS = 4096
+_BLOCK_POINTS = 16384
 
 
 def _coprime(height: int) -> np.ndarray:
@@ -189,16 +195,15 @@ def _point_blocks(height: int, cut: int = 0) -> Iterator[tuple[np.ndarray, np.nd
             hi += 1
             if hi - 1 == cut:
                 break
-        heights = np.arange(lo, hi, dtype=np.int64)
-        # 2h - 1 magnitudes per height h: h/1 .. h/h, then 1/h .. (h-1)/h
-        runs = 2 * heights - 1
-        h = np.repeat(heights, runs)
-        x = np.arange(1, h.size + 1) - np.repeat(np.cumsum(runs) - runs, runs)
-        first = x <= h
-        num = np.where(first, h, x - h)
-        den = np.where(first, x, h)
-        keep = coprime[num, den]
-        num, den = num[keep], den[keep]
+        # the pairs (h, c) of the block's heights h with c <= h coprime, in
+        # one pass over its rows, stacked twice: h/c for c <= h, then c/h for c < h
+        heights = np.arange(lo, hi)[:, np.newaxis]
+        c = np.arange(1, hi)
+        rows = coprime[lo:hi, 1:hi]
+        h, run, c = np.stack((rows & (c <= heights), rows & (c < heights)), axis=1).nonzero()
+        h += lo
+        c += 1
+        num, den = np.where(run, c, h), np.where(run, h, c)
         p, q = np.empty(2 * num.size, dtype=np.int64), np.empty(2 * num.size, dtype=np.int64)
         p[0::2], p[1::2] = num, -num
         q[0::2] = q[1::2] = den
@@ -241,20 +246,20 @@ def _int64_cbrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def _object_values(scaled, residues, e: int, p: np.ndarray, q: np.ndarray) -> tuple:
+def _object_values(cover, residues, p: np.ndarray, q: np.ndarray) -> tuple:
     """(p, q, ga, gb) as object arrays at the points p/q, int64 arrays, that
-    pass the prefilter on G mod _M, in int64 from `residues`, the D^3 c_i mod
-    _M; G = ga + gb*w is then evaluated on Python ints a point at a time,
-    which holds one point's partial sums and at high degree beats numpy's
-    object loops."""
+    pass the prefilter on G mod _M, in int64 from `residues`, the terms of
+    `cover` mod _M; G = ga + gb*w is then evaluated on Python ints a point at
+    a time, which holds one point's partial sums and at high degree beats
+    numpy's object loops."""
     import numpy as np
 
-    ga, gb = _homogeneous_value(residues, e, p % _M, q % _M, _M)
+    ga, gb = _homogeneous_value(residues, p % _M, q % _M, _M)
     keep = _is_cube_residue(ga * ga - ga * gb + gb * gb)  # >= 0, below 2^40
     p, q = p[keep].astype(object), q[keep].astype(object)
     ga, gb = np.empty(len(p), dtype=object), np.empty(len(p), dtype=object)
     for i, point in enumerate(zip(p.tolist(), q.tolist())):
-        ga[i], gb[i] = _homogeneous_value(scaled, e, *point)
+        ga[i], gb[i] = _homogeneous_value(cover, *point)
     return p, q, ga, gb
 
 
@@ -426,11 +431,11 @@ class SearchReport:
         }
 
 
-def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[tuple],
-                                                          dict[str, int]]:
+def _classify_points(cover, e: int, height: int) -> tuple[dict[str, int], list[tuple],
+                                                         dict[str, int]]:
     """Tally the finite points of height <= `height`; see the module docstring.
 
-    `scaled` and e are those of `descent._cover_coefficients`.  Also returns
+    `cover` and e are the `descent._cover_terms` and e of the cover.  Also returns
     the Descends findings as the checked columns (p, q, ga, gb, r) of each
     block that has any, and the counters of the walk: the points, those
     rejected by the modular prefilter (which runs past the int64 bound only)
@@ -443,11 +448,12 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
     no_descent, descends = DescentKind.NO_DESCENT.value, DescentKind.DESCENDS.value
     modular_rejects = int64_points = 0
     blocks = []
-    residues = [(a % _M, b % _M) for a, b in scaled]
-    weight = sum(abs(a) + abs(b) for a, b in scaled)
+    terms, gaps, low = cover
+    residues = tuple((gap, a % _M, b % _M) for gap, a, b in terms), gaps, low
+    weight = sum(abs(a) + abs(b) for _, a, b in terms)
     # the largest height T with 3 B^2 < 2^62, B = weight * T^e: every Horner
-    # partial sum and both coordinates of G are at most B, each power of q at
-    # most T^(e+1) <= B^2, and N(G) <= 3 B^2, so blocks up to T are exact in int64
+    # partial sum and both coordinates of G are at most B, each power of p and
+    # q at most T^e <= B, and N(G) <= 3 B^2, so blocks up to T are exact in int64
     last = 0
     while last < height and 3 * (weight * (last + 1) ** e) ** 2 < 2 ** 62:
         last += 1
@@ -455,15 +461,18 @@ def _classify_points(scaled, e: int, height: int) -> tuple[dict[str, int], list[
         points = len(ps)
         if max(ps.max(), -ps.min(), qs.max()) <= last:  # the block's largest height
             int64_points += points
-            ga, gb = _homogeneous_value(scaled, e, ps, qs)
+            ga, gb = _homogeneous_value(cover, ps, qs)
         else:
             # G mod _M in int64 first: only the points it keeps reach Python ints
-            ps, qs, ga, gb = _object_values(scaled, residues, e, ps, qs)
+            ps, qs, ga, gb = _object_values(cover, residues, ps, qs)
             modular_rejects += points - len(ps)
         norm = ga * ga - ga * gb + gb * gb
         root = _object_cbrt(norm) if norm.dtype == object else _int64_cbrt(norm)
         cube = root * root * root == norm
-        counts[no_descent] += len(norm) - int(np.count_nonzero(cube))
+        cubes = int(np.count_nonzero(cube))
+        counts[no_descent] += len(norm) - cubes
+        if not cubes:
+            continue  # no point of the block passes the norm filter
         counts[DescentKind.UNDEFINED.value] += int(np.count_nonzero(norm == 0))
         past = cube & (norm > 0)
         del norm  # so a block's big-int norms are not held through the next block
@@ -510,8 +519,9 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
                          f"the bound MAX_SEARCH_WORK = {MAX_SEARCH_WORK}; the largest "
                          f"height allowed at degree {n} is {top}")
 
-    counts, blocks, counters = _classify_points(scaled, e, height)
-    ga, gb = _homogeneous_value(scaled, e, 1, 0)  # infinity is (1 : 0)
+    cover = _cover_terms(scaled, e)
+    counts, blocks, counters = _classify_points(cover, e, height)
+    ga, gb = _homogeneous_value(cover, 1, 0)  # infinity is (1 : 0)
     inf_kind = _classify_integral(ga, gb)[0]
     counts[inf_kind] += 1
     infinity_entry = {

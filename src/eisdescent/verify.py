@@ -139,9 +139,15 @@ def verify_no_solution(k: int) -> VerificationReport:
 
 
 def minimal_modulus(max_k: int) -> int | None:
-    """Smallest k <= max_k for which the no-solution check holds, if any."""
+    """Smallest k <= max_k for which the no-solution check holds, if any.
+
+    Each k is decided as `verify_no_solution` decides it, by the membership
+    of the right-hand side's values in the form image, without naming the
+    counterexamples.
+    """
     ResidueRing(max_k)  # reject an out-of-range max_k before scanning
     for k in range(1, max_k + 1):
-        if verify_no_solution(k).holds:
+        ring = ResidueRing(k)
+        if not in_form_image(ring, rhs_values(ring).values).any():
             return k
     return None

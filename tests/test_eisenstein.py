@@ -131,6 +131,87 @@ class TestDivmod:
             assert r.norm() < b.norm()
 
 
+class TestReflectedOperators:
+    """The reflected operators, and the NotImplemented each binary operator
+    returns for an operand outside its ring, so that Python tries the other
+    operand's method or raises TypeError."""
+
+    def test_int_divmod_and_floordiv_by_an_element(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n, beta = rng.randint(-10**6, 10**6), rand_int_element(rng, 10**3)
+            q, r = divmod(n, beta)  # int.__divmod__ declines; __rdivmod__ runs
+            assert (q, r) == divmod(EisensteinInt(n), beta)
+            assert n == q * beta + r and r.norm() < beta.norm()
+            assert EisensteinInt(n) // beta == q
+            assert EisensteinInt(n) % beta == r
+        # 7 conj(pi) / N(pi) = (-7 - 14w)/3 rounds to -2 - 5w; 3/pi = -pi exactly
+        assert divmod(7, PI) == (EisensteinInt(-2, -5), EisensteinInt(-1, -1))
+        assert EisensteinInt(3) // PI == -PI
+
+    def test_int_and_fraction_minus_an_element(self):
+        assert 3 - EisensteinInt(1, 1) == EisensteinInt(2, -1)
+        a = EisensteinRational(EisensteinInt(1, 2), 3)
+        assert 1 - a == EisensteinRational(EisensteinInt(2, -2), 3)
+        assert Fraction(1, 2) - a == EisensteinRational(EisensteinInt(1, -4), 6)
+        assert W - a == EisensteinRational(EisensteinInt(-1, 1), 3)
+        rng = random.Random(32)
+        for _ in range(200):
+            x, y = rand_rational_element(rng), rand_rational_element(rng)
+            n = rng.randint(-50, 50)
+            assert n - x == EisensteinRational(n) - x and (n - x) + x == n
+            assert x.num - y == EisensteinRational(x.num) - y
+
+    def test_int_fraction_and_element_divided_by_a_rational(self):
+        a = EisensteinRational(EisensteinInt(1, 2), 3)
+        assert 1 / a == a.inverse() == EisensteinRational(EisensteinInt(-1, -2), 1)
+        assert Fraction(2, 3) / a == EisensteinRational(EisensteinInt(-2, -4), 3)
+        assert W / EisensteinRational(2) == EisensteinRational(W, 2)
+        rng = random.Random(33)
+        for _ in range(200):
+            x = rand_rational_element(rng)
+            if x:
+                n = rng.randint(-50, 50)
+                assert n / x == EisensteinRational(n) / x and (n / x) * x == n
+        with pytest.raises(ZeroDivisionError):
+            1 / EisensteinRational(0)
+
+    def test_an_int_element_defers_to_a_rational_operand(self):
+        # EisensteinInt's operators return NotImplemented for a rational, and
+        # EisensteinRational's reflected operators give the exact answer
+        a, h = EisensteinInt(2, 1), EisensteinRational(1, 2)
+        assert a + h == EisensteinRational(EisensteinInt(5, 2), 2)
+        assert a - h == EisensteinRational(EisensteinInt(3, 2), 2)
+        assert a * h == EisensteinRational(a, 2)
+        assert a == EisensteinRational(a) and a != h
+
+    @pytest.mark.parametrize("other", [1.5, "1", None, 1j])
+    def test_operands_outside_the_ring_raise_type_error(self, other):
+        a, x = EisensteinInt(2, 1), EisensteinRational(EisensteinInt(2, 1), 3)
+        assert a != other and x != other
+        assert not (a == other or x == other)
+        ops = [lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+               lambda u, v: u / v, lambda u, v: u ** v, divmod, lambda u, v: u // v,
+               lambda u, v: u % v]
+        for u in (a, x):
+            for op in ops:
+                with pytest.raises(TypeError):
+                    op(u, other)
+                with pytest.raises(TypeError):
+                    op(other, u)
+
+    def test_powers_outside_their_range_raise_type_error(self):
+        with pytest.raises(TypeError):
+            EisensteinInt(2, 1) ** -1
+        with pytest.raises(TypeError):
+            EisensteinInt(2, 1) ** Fraction(1, 2)
+        with pytest.raises(TypeError):
+            EisensteinRational(2) ** Fraction(1, 2)
+        assert EisensteinRational(2) ** -2 == EisensteinRational(1, 4)
+        with pytest.raises(TypeError, match="cannot build EisensteinRational from 1.5"):
+            EisensteinRational(1.5)
+
+
 class TestGcd:
     def test_examples(self):
         assert eisenstein_gcd(EisensteinInt(3, 0), PI) == PI

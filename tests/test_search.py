@@ -27,7 +27,12 @@ from eisdescent import (
 )
 from eisdescent import eisenstein
 from eisdescent.cli import main
-from eisdescent.descent import _cover_coefficients, _homogeneous_value, _past_norm_filter
+from eisdescent.descent import (
+    _cover_coefficients,
+    _cover_terms,
+    _homogeneous_value,
+    _past_norm_filter,
+)
 from eisdescent.intfactor import icbrt
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
@@ -102,9 +107,11 @@ class TestEnumerateRationals:
                 list(enumerate_rationals(height))
 
     def test_blocks_list_the_python_walk_in_order(self):
-        assert PAST_FIRST_BLOCK < 60  # the range below crosses a block boundary
-        for height in range(1, 61):
+        # every height up to one past the first block, so the walk crosses a
+        # block boundary whatever the block size
+        for height in range(1, PAST_FIRST_BLOCK + 2):
             blocks = list(search_module._point_blocks(height))
+            assert len(blocks) == 1 + (height >= PAST_FIRST_BLOCK), height
             pairs = [pair for p, q in blocks for pair in zip(p.tolist(), q.tolist())]
             assert pairs == list(python_lowest_terms(height)), height
             assert [Fraction(*pair) for pair in pairs] == list(enumerate_rationals(height))
@@ -363,12 +370,13 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
     height = data.draw(st.sampled_from([1, 2, PAST_FIRST_BLOCK - 1, PAST_FIRST_BLOCK,
                                         PAST_FIRST_BLOCK + 20]))
     e = -(-degree // 3) * 3
-    residues = [(a % search_module._M, b % search_module._M) for a, b in scaled]
+    cover = _cover_terms(scaled, e)
+    residues = _cover_terms([(a % search_module._M, b % search_module._M) for a, b in scaled], e)
     cube_residues = {m: {x ** 3 % m for x in range(m)} for m in PRIME_POWERS}
     for p, q in search_module._point_blocks(height):
         # the evaluator of a block past the int64 bound keeps, as Python ints,
         # exactly the points whose N(G) passes, with G at each
-        kept = search_module._object_values(scaled, residues, e, p, q)
+        kept = search_module._object_values(cover, residues, p, q)
         assert [x.dtype for x in kept] == [object] * 4
         expected = []
         for pq in zip(p.tolist(), q.tolist()):
@@ -379,7 +387,7 @@ def test_modular_filter_rejects_only_non_cube_norms(degree, data):
                 root = icbrt(norm)
                 assert root ** 3 != norm, pq
         assert list(zip(*(x.tolist() for x in kept))) == [
-            (*pq, *_homogeneous_value(scaled, e, *pq)) for pq in expected]
+            (*pq, *_homogeneous_value(cover, *pq)) for pq in expected]
 
 
 @pytest.mark.parametrize("degree", range(1, 10))
@@ -391,18 +399,88 @@ def test_modular_and_exact_evaluation_agree_mod_m(degree, data):
     scaled = data.draw(covers(degree))
     e = -(-degree // 3) * 3
     m = search_module._M
-    residues = [(a % m, b % m) for a, b in scaled]
+    cover, residues = _cover_terms(scaled, e), _cover_terms([(a % m, b % m) for a, b in scaled], e)
     points = data.draw(st.lists(st.tuples(st.integers(-499, 499), st.integers(1, 499)),
                                 min_size=1, max_size=40))
     points += [(-499, 499), (499, 1), (1, 0)]  # the largest coordinates, and infinity
     p, q = (np.array(column, dtype=np.int64) for column in zip(*points))
-    ga, gb = _homogeneous_value(residues, e, p % m, q % m, m)
+    ga, gb = _homogeneous_value(residues, p % m, q % m, m)
     assert ga.dtype == gb.dtype == np.int64
     for i, (pi, qi) in enumerate(points):
-        xa, xb = _homogeneous_value(scaled, e, pi, qi)
+        xa, xb = _homogeneous_value(cover, pi, qi)
         assert xa * xa - xa * xb + xb * xb == norm_of_g(scaled, e, pi, qi)
         assert (int(ga[i]), int(gb[i])) == (xa % m, xb % m), (pi, qi)
-        assert _homogeneous_value(residues, e, pi % m, qi % m, m) == (xa % m, xb % m)
+        assert _homogeneous_value(residues, pi % m, qi % m, m) == (xa % m, xb % m)
+
+
+def dense_horner(scaled, e, p, q, m=0):
+    """G(p, q) by the plain Horner loop over every D^3 c_i, zero or not, reduced
+    mod m at each step when m > 0: the loop the evaluator's zero skipping replaces."""
+    ga = gb = 0
+    qk = q ** (e + 1 - len(scaled))  # q^(e-n), then one more q per term
+    for ca, cb in scaled:
+        ga = ga * p + ca * qk
+        gb = gb * p + cb * qk
+        qk = qk * q
+        if m:
+            ga, gb, qk = ga % m, gb % m, qk % m
+    return ga, gb
+
+
+@st.composite
+def sparse_or_dense_covers(draw):
+    """D^3 c_i as coordinate pairs, leading coefficient first, of degree 1 to
+    40: the leading one nonzero, each other one drawn with probability 1, 1/2
+    or 1/8 (the same for the whole cover) and 0 otherwise."""
+    degree = draw(st.integers(1, 40))
+    nonzero = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    scaled = []
+    for i in range(degree, -1, -1):
+        if i == degree or draw(st.floats(0, 1)) < nonzero:
+            pair = (draw(coordinates), draw(coordinates))
+            scaled.append(pair if any(pair) or i < degree else (1, 0))
+        else:
+            scaled.append((0, 0))
+    return scaled
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_or_dense_covers(),
+       st.lists(st.tuples(st.integers(-499, 499), st.integers(0, 499)), min_size=1, max_size=20))
+@example([(0, 1)] + [(0, 0)] * 99, [(2, 1), (-499, 499), (1, 0), (0, 1)])  # w z^99
+@example([(1, 0)] * 3001, [(17, 16), (-1, 17), (1, 0)])  # 1 + z + ... + z^3000
+@example([(3, 0), (0, 0), (0, 0), (6, 0)], [(0, 1), (-200, 199), (1, 0)])  # the paper's cover
+def test_zero_skipping_evaluation_equals_the_dense_horner_loop(scaled, points):
+    # on Python ints, on int64 arrays within the int64 bound of `search`, and
+    # mod _M on the int64 arrays of the prefilter
+    e = -(-(len(scaled) - 1) // 3) * 3
+    cover = _cover_terms(scaled, e)
+    terms, gaps, low = cover
+    assert all(any(pair) for _, *pair in terms)
+    assert sum(gap for gap, _, _ in terms) + low == e
+    exact = [dense_horner(scaled, e, p, q) for p, q in points]
+    assert [_homogeneous_value(cover, p, q) for p, q in points] == exact
+
+    weight = sum(abs(a) + abs(b) for a, b in scaled)
+    last = 0
+    while 3 * (weight * (last + 1) ** e) ** 2 < 2 ** 62:
+        last += 1
+    within = [(min(abs(p), last) * (1 if p >= 0 else -1), min(q, last)) for p, q in points]
+    if last:
+        p, q = (np.array(column, dtype=np.int64) for column in zip(*within))
+        ga, gb = _homogeneous_value(cover, p, q)
+        assert ga.dtype == gb.dtype == np.int64
+        assert list(zip(ga.tolist(), gb.tolist())) == [
+            dense_horner(scaled, e, *point) for point in within]
+
+    m = search_module._M
+    residues = [(a % m, b % m) for a, b in scaled]
+    p, q = (np.array(column, dtype=np.int64) % m for column in zip(*points))
+    ga, gb = _homogeneous_value(_cover_terms(residues, e), p, q, m)
+    assert ga.dtype == gb.dtype == np.int64
+    dense = dense_horner(residues, e, p, q, m)
+    assert np.array_equal(ga, dense[0]) and np.array_equal(gb, dense[1])
+    assert list(zip(ga.tolist(), gb.tolist())) == [(xa % m, xb % m) for xa, xb in exact]
 
 
 def test_cube_residue_tables_mark_exactly_the_cubes_and_are_built_once():
@@ -604,11 +682,41 @@ def test_int64_cube_root_is_the_floor_at_and_beside_every_cube(monkeypatch, seed
 
 def report_section(coeffs, height, capsys):
     """sha256 of the CLI document's "report" section, its lines to the end,
-    and the document's counters."""
+    the document's counters and its number of witnesses."""
     assert main(["search", f"--coeffs={coeffs}", "--height", str(height)]) == 0
     out = capsys.readouterr().out
     section = out[out.index('\n  "report": {') + 1:]
-    return hashlib.sha256(section.encode("ascii")).hexdigest(), json.loads(out)["counters"]
+    return (hashlib.sha256(section.encode("ascii")).hexdigest(), json.loads(out)["counters"],
+            out.count('"witness": {'))
+
+
+@pytest.mark.parametrize("coeffs,height,witnesses,counters,sha", [
+    # every finite nonzero point descends, all in int64
+    ("0,0,0,w", 499, 303662, (303663, 0),
+     "e479e84781183c95ded61e4f32e3e9a2f11b479f94068fc757a030c6ae9914fe"),
+    # the paper's cover: the norm filter rejects every point, all in int64
+    ("6,0,0,3", 499, 0, (303663, 0),
+     "1eba7b48ab097284ecdb3e5bc7f0ce35834351ae77c64eda095f763fb054ba22"),
+    # no int64 block: the prefilter rejects all but 178 points
+    ("6000000000000,0,0,3000000000000", 200, 0, (0, 48749), None),
+    # one nonzero term of degree 99, past the int64 bound beyond height 1
+    (",".join(["0"] * 99 + ["w"]), 99, 12014, (3, 0),
+     "3bd390bfe1f6c4a95192cfbe396e51103882da7cf9abf90547ae3c1abc1ac86b"),
+    # 3,001 nonzero terms
+    (",".join(["1"] * 3001), 17, None, None,
+     "59771a067a3870d5ed692bb3aa2b1821fdf3bf564fab27e727baa55ba563e19d"),
+], ids=["w-z3-H499", "target-H499", "past-int64-H200", "w-z99-H99", "ones-z3000-H17"])
+def test_search_reports_keep_their_pinned_bytes(capsys, coeffs, height, witnesses, counters,
+                                                sha):
+    # the report sections, witness counts and (int64_points, modular_rejects)
+    # counters the CI smoke step also checks on fresh processes
+    section_sha, doc_counters, found = report_section(coeffs, height, capsys)
+    if sha is not None:
+        assert section_sha == sha
+    if witnesses is not None:
+        assert found == witnesses
+    if counters is not None:
+        assert (doc_counters["int64_points"], doc_counters["modular_rejects"]) == counters
 
 
 @pytest.mark.parametrize("coeffs,height,last,sha", [
@@ -622,7 +730,7 @@ def test_a_block_ends_at_the_last_height_within_the_int64_bound(capsys, coeffs, 
                                                                 sha):
     # every point of height <= last is decided in int64, and the report
     # section keeps the bytes it had when such covers had no int64 block
-    section_sha, counters = report_section(coeffs, height, capsys)
+    section_sha, counters, _ = report_section(coeffs, height, capsys)
     assert counters["int64_points"] == oracle_count(last)
     assert section_sha == sha
     cover = coefficients(coeffs)
@@ -635,12 +743,14 @@ def test_a_block_ends_at_the_last_height_within_the_int64_bound(capsys, coeffs, 
 
 @pytest.mark.parametrize("cut", [1, 2, 10, 18, PAST_FIRST_BLOCK, 59, 60, 99])
 def test_blocks_end_at_the_cut_and_keep_the_walk(cut):
-    blocks = list(search_module._point_blocks(60, cut))
+    # a walk past the end of the first block, whose first height past it is a cut
+    height = PAST_FIRST_BLOCK + 5
+    blocks = list(search_module._point_blocks(height, cut))
     pairs = [pair for p, q in blocks for pair in zip(p.tolist(), q.tolist())]
-    assert pairs == list(python_lowest_terms(60))
+    assert pairs == list(python_lowest_terms(height))
     tops = [int(max(abs(p).max(), q.max())) for p, q in blocks]
-    assert tops == sorted(set(tops)) and tops[-1] == 60
-    assert cut in tops or cut > 60
+    assert tops == sorted(set(tops)) and tops[-1] == height
+    assert cut in tops or cut > height
 
 
 def test_array_cube_test_agrees_with_the_past_norm_filter():
