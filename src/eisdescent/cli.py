@@ -7,7 +7,9 @@ search, dump-set.  Every command prints a stable JSON document on stdout
 internal consistency check fails, 2 on usage errors, among them an output
 path that cannot be written.  On exit 1 the document is printed as usual,
 then the one-line problem goes to stderr; on exit 2 stderr has `error: ...`
-and stdout stays empty.
+and stdout stays empty.  The document is written a piece at a time, to the
+`--json` file first and then to stdout, so it is never held as one string;
+an error that exits 2 is raised before any piece reaches stdout.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from .descent import (
 )
 from .eisenstein import factor, is_cube
 from .parsing import _digit_limit_error, parse_element
-from .reports import dumps_document, make_document
+from .reports import (
+    dumps_document,  # unused here; perfbench/tracer.py binds cli.dumps_document
+    make_document,
+    write_document,
+)
 from .residues import ResidueRing, cube_values, descent_form_image, rhs_values
 from .search import search
 from .verify import minimal_modulus, verify_cube_closure, verify_no_solution
@@ -240,12 +246,6 @@ _HANDLERS = {
 }
 
 
-def _write_text(stream, text: str) -> None:
-    # a MiB at a time: a text stream encodes what it is given as one copy
-    for lo in range(0, len(text), 1 << 20):
-        stream.write(text[lo:lo + (1 << 20)])
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -253,12 +253,13 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         report, params, counters, problem = _HANDLERS[args.command](args)
         document = make_document(report, params, time.perf_counter() - start, counters)
-        text = dumps_document(document)
-        # the file first, so an unwritable --json path leaves stdout empty
+        # the file first, so an unwritable --json path leaves stdout empty; no
+        # piece can fail to render, since `search` refuses a result past the
+        # digit limit before it returns
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
-                _write_text(fh, text)
-        _write_text(sys.stdout, text)
+                write_document(document, fh.write)
+        write_document(document, sys.stdout.write)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         message = str(exc)
         if message.startswith("Exceeds the limit"):

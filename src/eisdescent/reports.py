@@ -10,18 +10,20 @@ at the end of the printed document do not change.  `cli.main` alone calls
 `make_document`: each command returns its report section, the parameters
 to fingerprint and its counters, and `main` adds the handler's wall time.
 
-Documents are written by `dumps_document`, this module's own writer, whose
-output is byte-identical to `json.dumps(document, sort_keys=True, indent=2)`
-plus a newline: json's indented encoding always takes its pure-Python
-encoder, which cost more than classifying the points of an all-Descends
-search.  Strings go through json's C string encoder, other leaves through
-`json.dumps`.  A list member may instead be a `RenderedList`, whose items
-write their own text, one string per item; an item may stand for several
-list entries.  A `search` document holds its Descends findings this way,
-one item per block of integer columns, so no dict of strings is built per
-finding.  json.dumps cannot encode such a document; `dumps_document`
-writes what json.dumps gives for the same document with each entry as its
-dict.
+Documents are written by `write_document`, this module's own writer, which
+hands the text to a `write` callable a piece at a time, so `cli.main` writes
+each piece to its outputs and never holds the whole document as one string;
+`dumps_document` joins the same pieces.  The text is byte-identical to
+`json.dumps(document, sort_keys=True, indent=2)` plus a newline: json's
+indented encoding always takes its pure-Python encoder, which cost more than
+classifying the points of an all-Descends search.  Strings go through json's
+C string encoder, other leaves through `json.dumps`.  A list member may
+instead be a `RenderedList`, whose items write their own text, one string
+per item; an item may stand for several list entries.  A `search` document
+holds its Descends findings this way, one item per block of integer
+columns, so no dict of strings is built per finding.  json.dumps cannot
+encode such a document; the writer writes what json.dumps gives for the
+same document with each entry as its dict.
 
 `search`'s block text and `ResidueSet.write_csv` write int64 values as
 `_digits` columns, padded with the byte 0, which `_gathered` drops.
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["RenderedList", "dumps_document", "fingerprint", "make_document"]
+__all__ = ["RenderedList", "dumps_document", "fingerprint", "make_document", "write_document"]
 
 
 def fingerprint(params: dict) -> str:
@@ -73,50 +75,55 @@ class RenderedList:
         self.render = render
 
 
+def write_document(document: dict, write: Callable[[str], Any]) -> None:
+    """Hand `document` to `write` a piece at a time, as `dumps_document` gives it."""
+    _write(write, document, "\n")
+    write("\n")
+
+
 def dumps_document(document: dict) -> str:
     pieces: list[str] = []
-    _write(pieces, document, "\n")
-    pieces.append("\n")
+    write_document(document, pieces.append)
     return "".join(pieces)
 
 
-def _write(pieces: list[str], value, newline: str) -> None:
-    """Append `value` to `pieces` as json.dumps(value, sort_keys=True, indent=2)
-    writes it, with `newline` (a line break and the current indent) before
-    each closing bracket.  Dict keys must be strings."""
+def _write(write: Callable[[str], Any], value, newline: str) -> None:
+    """Call `write` with the pieces of `value` as json.dumps(value,
+    sort_keys=True, indent=2) writes it, with `newline` (a line break and the
+    current indent) before each closing bracket.  Dict keys must be strings."""
     if isinstance(value, str):
-        pieces.append(encode_basestring_ascii(value))
+        write(encode_basestring_ascii(value))
     elif isinstance(value, dict):
         if not value:
-            pieces.append("{}")
+            write("{}")
             return
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
-            pieces.append(sep)
-            pieces.append(encode_basestring_ascii(key))
-            pieces.append(": ")
-            _write(pieces, value[key], inner)
+            write(sep)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write(write, value[key], inner)
             sep = "," + inner
-        pieces.append(newline + "}")
+        write(newline + "}")
     elif isinstance(value, (list, tuple, RenderedList)):
         items, render = ((value.items, value.render) if isinstance(value, RenderedList)
                          else (value, None))
         if not items:
-            pieces.append("[]")
+            write("[]")
             return
         inner = newline + "  "
         sep = "[" + inner
         for item in items:
-            pieces.append(sep)
+            write(sep)
             if render is None:
-                _write(pieces, item, inner)
+                _write(write, item, inner)
             else:
-                pieces.append(render(item, inner))
+                write(render(item, inner))
             sep = "," + inner
-        pieces.append(newline + "]")
+        write(newline + "]")
     else:
-        pieces.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def _digits(v: np.ndarray) -> np.ndarray:

@@ -81,18 +81,24 @@ and each step is exact:
   G conj(G) = ga^2 - ga gb + gb^2 = r^3, the one sum checked; in int64
   its partial sums are at most 3 B^2 < 2^62.  The findings are held as the
   block's columns (p, q, ga, gb, r), and `to_report` hands the blocks to
-  `reports.dumps_document` as a `RenderedList`.  p/q is in lowest terms;
+  `reports.write_document` as a `RenderedList`.  p/q is in lowest terms;
   G/s^3 and G/(r s) are reduced part by part with one gcd each.  A block's
   text is one string: bytes gathered from decimal digit columns for an
   int64 block, and the texts of its findings joined for a block past the
   bound, each from `_finding_strings`, which also makes the dicts of
   `SearchReport.descends`.
+* Python refuses to print an int of more than `sys.get_int_max_str_digits()`
+  digits, which only a finding past the bound can reach.  `search` checks
+  each such block before it returns (`_check_digit_limit`) and raises that
+  ValueError itself, so the CLI exits 2 before it writes any of the
+  document, which it writes a piece at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -128,11 +134,11 @@ __all__ = ["MAX_SEARCH_WORK", "SearchReport", "enumerate_rationals", "search"]
 # as `intfactor` charges a rho step; c = 1 up to 128 bits, so the heights
 # below hold for such coefficients.  At degree 3 it allows H <= 499, 303,664
 # points; on t^3 = w z^3, where every finite nonzero point descends and the
-# findings are held as int64 columns until the writer renders them, a test
-# bounds the CLI's peak RSS there at 160 MB.  At degree 99 it allows H <= 99,
-# at degree 3000 H <= 17, and with the 3,001-digit 10^3000 w at z^3
-# (b = 9,966, c = 6,084) H <= 6.  BENCH_31.json records the wall time and peak
-# RSS of the CLI at these heights.
+# findings are held as int64 columns until the writer renders and writes them
+# a block at a time, a test bounds the CLI's peak RSS there at 80 MB.  At
+# degree 99 it allows H <= 99, at degree 3000 H <= 17, and with the
+# 3,001-digit 10^3000 w at z^3 (b = 9,966, c = 6,084) H <= 6.  BENCH_32.json
+# records the wall time and peak RSS of the CLI at these heights.
 MAX_SEARCH_WORK = 2_000_000
 
 
@@ -312,6 +318,24 @@ def _finding_strings(finding: tuple[int, int, int, int, int], d: int,
             _fmt_frac(ga, rs), _fmt_frac(gb, rs))  # x + w y = G/(r s)
 
 
+def _check_digit_limit(block: tuple, d: int, e: int) -> None:
+    """Raise str()'s ValueError now if a finding of the object block (p, q,
+    ga, gb, r) would print an int past Python's limit on int -> str digits,
+    so that writing the document cannot fail.  str() refuses exactly the ints
+    of more than `limit` digits, and every printed number is at most |ga|,
+    |gb|, s^3 or r s, p and q being at most the height.  So when max |ga|,
+    max |gb|, S^3 and R S are below 10^limit, for S and R the largest s and
+    r, none is refused; otherwise the findings' strings are built and
+    dropped, raising where the writer would."""
+    limit = sys.get_int_max_str_digits()
+    _, q, ga, gb, r = block
+    s = d * int(q.max()) ** (e // 3)  # the largest s
+    if not limit or max(abs(ga).max(), abs(gb).max(), s ** 3, int(r.max()) * s) < 10 ** limit:
+        return
+    for finding in zip(*(x.tolist() for x in block)):
+        _finding_strings(finding, d, e)
+
+
 def _fraction(n: np.ndarray, d: np.ndarray, reduce: bool = True) -> list[np.ndarray]:
     """uint8 columns of n/d as `_fmt_frac` writes it, for int64 arrays, d >= 1:
     sign, numerator, slash and denominator, with the byte 0 where unwritten.
@@ -419,7 +443,7 @@ class SearchReport:
                                    for finding in zip(*(x.tolist() for x in block)))
 
     def to_report(self) -> dict:
-        """Its "descends" member is a `RenderedList` that `dumps_document`
+        """Its "descends" member is a `RenderedList` that `write_document`
         writes as the list `descends` holds."""
         return {
             "height": self.height,
@@ -521,6 +545,9 @@ def search(coefficients: Sequence, height: int) -> SearchReport:
 
     cover = _cover_terms(scaled, e)
     counts, blocks, counters = _classify_points(cover, e, height)
+    for block in blocks:
+        if block[0].dtype == object:  # an int64 block prints ints below 2^63
+            _check_digit_limit(block, d, e)
     ga, gb = _homogeneous_value(cover, 1, 0)  # infinity is (1 : 0)
     inf_kind = _classify_integral(ga, gb)[0]
     counts[inf_kind] += 1

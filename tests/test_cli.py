@@ -126,31 +126,33 @@ def test_dump_form_image_k8_peak_rss_under_180_mb(tmp_path):
 
 
 @linux_only
-def test_all_descends_search_h250_peak_rss_under_140_mb():
+def test_all_descends_search_h250_peak_rss_under_65_mb():
     # Every finite nonzero point descends and the findings are held as int64
-    # columns (p, q, ga, gb, r) per block until the writer renders them: about
-    # 60 MB for the process (68 MB with a tuple of ints per finding, 104 MB
-    # with a dict of strings, 179 MB with Fraction-built findings and json's
-    # indented encoder).
+    # columns (p, q, ga, gb, r) per block until the writer renders them, one
+    # block's text at a time: about 42 MB for the process (60 MB with the
+    # whole document joined into one string, 68 MB with a tuple of ints per
+    # finding, 104 MB with a dict of strings, 179 MB with Fraction-built
+    # findings and json's indented encoder).
     out, _, peak_mb = run_fresh("search", "--coeffs", "0,0,0,w", "--height", "250")
     assert json.loads(out)["report"]["counts"]["Descends"] == 76_095
-    assert peak_mb < 140
+    assert peak_mb < 65
 
 
 @linux_only
-def test_all_descends_search_at_the_largest_height_peaks_under_160_mb():
+def test_all_descends_search_at_the_largest_height_peaks_under_80_mb():
     # H = 499, the largest height MAX_SEARCH_WORK allows at degree 3: 303,662
-    # finite findings and 46 MB of JSON, about 138 MB for the process with the
-    # findings held as int64 columns per block (181 MB with a tuple of ints
-    # per finding, 314 MB with a dict of strings).  The counts are read from
-    # the text, since parsing every finding would cost this process more than
-    # the child.
+    # finite findings and 46 MB of JSON, about 52 MB for the process with the
+    # findings held as int64 columns per block and written one block's text
+    # at a time (138 MB with the whole document joined into one string,
+    # 181 MB with a tuple of ints per finding, 314 MB with a dict of
+    # strings).  The counts are read from the text, since parsing every
+    # finding would cost this process more than the child.
     out, _, peak_mb = run_fresh("search", "--coeffs", "0,0,0,w", "--height", "499")
     start = out.index('"counts": ') + len('"counts": ')
     counts = json.loads(out[start:out.index("}", start) + 1])
     assert counts == {"Descends": 303_663, "Disconnected": 0, "NoDescent": 0, "Undefined": 1}
     assert out.count('"witness": {') == 303_662  # every finite point but 0; infinity too descends
-    assert peak_mb < 160
+    assert peak_mb < 80
 
 
 # numpy is imported only by the functions that scan the finite rings or the
@@ -557,7 +559,7 @@ class TestJsonAndStability:
         assert path.read_text() == out
 
     def test_json_flag_writes_same_document_past_one_mib(self, capsys, tmp_path):
-        # 1.8 MB, so both writers cross a boundary of the MiB pieces
+        # 1.8 MB, over a MiB in one block's text, written whole to both outputs
         path = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "search", "--coeffs", "0,0,0,w", "--height", "100",
                                "--json", str(path))
@@ -667,7 +669,7 @@ class TestUsageErrors:
         # form(3 * 10^2000, 0) is divisible by pi but has about 6,000 digits
         (["reduce", str(3 * 10 ** 2000), "0"], "error: a result has more than 4300 digits, "
          "above the limit of 4300 digits on integer string conversion\n"),
-        # the walk ends; a = f(4) has 4,301 digits when the document is written
+        # the walk ends; a = f(4) would print with 4,301 digits
         (["search", f"--coeffs=0,0,0,{10 ** 4299}*w", "--height", "4"],
          "error: a result has more than 4300 digits, above the limit of 4300 digits on "
          "integer string conversion\n"),
@@ -677,6 +679,30 @@ class TestUsageErrors:
         proc = subprocess.run([sys.executable, "-m", "eisdescent", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+    def test_digit_limit_refusal_leaves_no_json_file(self, tmp_path):
+        # `search` refuses the result before any piece of the document is written
+        path = tmp_path / "x.json"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        proc = subprocess.run([sys.executable, "-m", "eisdescent", "search",
+                               f"--coeffs=0,0,0,{10 ** 4299}*w", "--height", "4",
+                               "--json", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "a result has more than 4300 digits" in proc.stderr
+        assert not path.exists()
+
+    def test_unreduced_parts_past_the_digit_limit_print(self):
+        # D = 10^1500, so s^3 = 10^4500 q^3 is past the limit, but every printed
+        # fraction is reduced below it: the check renders the findings and passes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        proc = subprocess.run([sys.executable, "-m", "eisdescent", "search",
+                               f"--coeffs=0,0,0,1/{10 ** 1500}*w", "--height", "6"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        section = proc.stdout[proc.stdout.index('\n  "report": {') + 1:]
+        assert hashlib.sha256(section.encode("ascii")).hexdigest() == \
+            "5cc4a5c211aa0dadd93ec31b3f8518546fbbb999bbcec4da328e697f520d4256"
 
     @pytest.mark.parametrize("argv,name", [
         (["reduce", "{n}", "0"], "x"),

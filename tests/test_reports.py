@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eisdescent import OMEGA, EisensteinRational, cli, search
-from eisdescent.reports import RenderedList, _digits, _gathered, dumps_document
+from eisdescent.reports import (
+    RenderedList,
+    _digits,
+    _gathered,
+    dumps_document,
+    make_document,
+)
 
 search_module = importlib.import_module("eisdescent.search")  # the package's `search` is the function
 
@@ -72,15 +78,15 @@ def test_empty_containers(value):
 def test_cli_documents_match_json_dumps(monkeypatch, capsys, argv):
     documents, searches = [], []
 
-    def recording_dumps(document):
-        documents.append(document)
-        return dumps_document(document)
+    def recording_make_document(*args):
+        documents.append(make_document(*args))
+        return documents[-1]
 
     def recording_search(*args):
         searches.append(search(*args))
         return searches[-1]
 
-    monkeypatch.setattr(cli, "dumps_document", recording_dumps)
+    monkeypatch.setattr(cli, "make_document", recording_make_document)
     monkeypatch.setattr(cli, "search", recording_search)
     assert cli.main(argv) == 0
     (document,) = documents

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -251,10 +252,17 @@ def reference_search(points):
 
 
 @pytest.mark.parametrize("text,height", DIFFERENTIAL_COVERS)
-def test_search_matches_pointwise_specialize(text, height):
+def test_search_matches_pointwise_specialize(monkeypatch, text, height):
+    # blocks of 200 candidates end the first block at height 10, so the walk
+    # to `past` crosses a block boundary without taking thousands of points
+    # through `specialize`; the `_point_blocks` tests check the real size
+    monkeypatch.setattr(search_module, "_BLOCK_POINTS", 200)
+    first = next(search_module._point_blocks(100))
+    past = int(max(abs(first[0]).max(), first[1].max())) + 1
+    assert past == 11
     coeffs = [parse_element(part) for part in text.split(",")]
     a = reference_value(coeffs, INFINITY)
-    for h in (1, height, PAST_FIRST_BLOCK):
+    for h in (1, height, past):
         report = search(coeffs, h)
         points = reference_points(coeffs, h)
         for z0, cls in points:
@@ -717,6 +725,51 @@ def test_search_reports_keep_their_pinned_bytes(capsys, coeffs, height, witnesse
         assert found == witnesses
     if counters is not None:
         assert (doc_counters["int64_points"], doc_counters["modular_rejects"]) == counters
+
+
+def raises_value_error(call):
+    try:
+        call()
+    except ValueError as exc:
+        assert str(exc).startswith("Exceeds the limit"), exc
+        return True
+    return False
+
+
+# numbers of 630 to 650 digits around a limit of 640, Python's lowest
+near_limit = st.integers(630, 650).flatmap(
+    lambda n: st.integers(10 ** (n - 1), 10 ** n - 1) | st.just(10 ** n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30),
+                          near_limit | st.integers(-99, 99), near_limit | st.integers(-99, 99),
+                          near_limit | st.integers(1, 10 ** 200)),
+                min_size=1, max_size=4),
+       st.sampled_from([1, 10 ** 100, 10 ** 200, 7 ** 300]), st.sampled_from([3, 6]),
+       st.booleans())
+@example([(1, 1, 10 ** 640, 0, 1)], 1, 3, False)  # 641 digits, at 10^limit itself
+@example([(1, 1, 10 ** 640 - 1, 1, 1)], 1, 3, True)  # 640 digits
+def test_digit_limit_check_raises_exactly_where_the_finding_strings_do(findings, d, e, negate):
+    # `_check_digit_limit` skips rendering when the largest |ga|, |gb| and s^3
+    # and the largest r times the largest s are below 10^limit, and renders
+    # otherwise: it must refuse a block exactly when some finding's strings
+    # cannot be built
+    sign = -1 if negate else 1
+    findings = [(p, q, sign * ga, gb, r) for p, q, ga, gb, r in findings
+                if math.gcd(p, q) == 1 and (ga or gb)]
+    if not findings:
+        return
+    block = tuple(np.array(column, dtype=object) for column in zip(*findings))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        expected = raises_value_error(
+            lambda: [search_module._finding_strings(f, d, e) for f in findings])
+        assert raises_value_error(
+            lambda: search_module._check_digit_limit(block, d, e)) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("coeffs,height,last,sha", [
